@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke golden-trace obs-golden ci
+.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke bench assembly-gate golden-trace obs-golden ci
 
 test:
 	$(GO) test ./...
@@ -70,6 +70,20 @@ sanitize:
 bench-smoke:
 	$(GO) test ./internal/wire -run 'ZeroAlloc|PutBufRejects' -bench . -benchtime 1x
 
+# The repository benchmark (BENCHMARK.json): every workload × 3 seeds, one
+# process per run, medians into .bench_build/suite.json. Compare two suite
+# files with `bash bench/run.sh diff A.json B.json`.
+bench:
+	bash bench/run.sh suite --seed 42 --reps 3 --out .bench_build/suite.json
+
+# One way to build a cluster: a full PN+SN+CM deployment is assembled only by
+# internal/deploy (plus the per-process daemons in cmd/, commitmgr's own unit
+# tests, the TCP integration test and the benchmark's frozen recipe).
+assembly-gate:
+	@! grep -rn --include='*.go' --exclude-dir=.bench_build -e 'commitmgr\.New(' -e 'core\.New(' . | grep -v \
+		-e '^./internal/deploy/' -e '^./internal/commitmgr/.*_test\.go' -e '^./cmd/' \
+		-e '^./tcp_integration_test\.go' -e '^./bench/'
+
 # Golden-trace determinism: the same seed must produce byte-identical
 # trace files across two independent small TPC-C runs.
 golden-trace:
@@ -89,8 +103,10 @@ obs-golden:
 ci:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -C bench .
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim \
-		./internal/metrics ./internal/btree ./internal/lint
+		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy
+	$(MAKE) assembly-gate
 	$(MAKE) chaos-race
 	$(MAKE) crash-matrix
 	$(MAKE) migrate-matrix

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,7 +38,6 @@ func main() {
 		series    = flag.Bool("series", false, "run one telemetry-enabled deployment and print windowed series, per-range heat, SLO breaches and flight-recorder state")
 		seriesOut = flag.String("series-dump", "", "with -series: also write the full deterministic telemetry dump to FILE (byte-identical per seed)")
 		flightOut = flag.String("flight", "", "with -series: write the flight recorder's captured outlier span trees as Chrome trace_event JSON to FILE")
-		benchJSON = flag.String("bench-json", "", "with -series: write a machine-readable benchmark result (throughput, msgs/txn, per-class quantiles) to FILE")
 	)
 	flag.Parse()
 
@@ -63,12 +61,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace run failed: %v\n", err)
 			os.Exit(1)
 		}
-		if len(flag.Args()) == 0 && !*series && *benchJSON == "" {
+		if len(flag.Args()) == 0 && !*series {
 			return
 		}
 	}
-	if *series || *seriesOut != "" || *flightOut != "" || *benchJSON != "" {
-		if err := runSeries(opt, *seriesOut, *flightOut, *benchJSON); err != nil {
+	if *series || *seriesOut != "" || *flightOut != "" {
+		if err := runSeries(opt, *seriesOut, *flightOut); err != nil {
 			fmt.Fprintf(os.Stderr, "series run failed: %v\n", err)
 			os.Exit(1)
 		}
@@ -138,49 +136,13 @@ func runTraced(opt exp.Options, file string, breakdown bool) error {
 	return nil
 }
 
-// benchClass is one transaction class's latency digest in -bench-json output.
-type benchClass struct {
-	Class  string `json:"class"`
-	Count  uint64 `json:"count"`
-	MeanNs int64  `json:"mean_ns"`
-	P50Ns  int64  `json:"p50_ns"`
-	P99Ns  int64  `json:"p99_ns"`
-	P999Ns int64  `json:"p999_ns"`
-}
-
-// benchResult is the machine-readable run summary written by -bench-json;
-// BENCH_8.json in the repo root records one such run per configuration so
-// the performance trajectory is diffable across changes.
-type benchResult struct {
-	Mix            string       `json:"mix"`
-	Warehouses     int          `json:"warehouses"`
-	Scale          float64      `json:"scale"`
-	Warmup         int          `json:"warmup"`
-	Measure        int          `json:"measure"`
-	Seed           int64        `json:"seed"`
-	PNs            int          `json:"pns"`
-	SNs            int          `json:"sns"`
-	CMs            int          `json:"cms"`
-	TpmC           float64      `json:"tpmc"`
-	Tps            float64      `json:"tps"`
-	AbortRate      float64      `json:"abort_rate"`
-	MsgsPerTxn     float64      `json:"msgs_per_txn"`
-	BytesPerTxn    float64      `json:"bytes_per_txn"`
-	CMMsgsPerTxn   float64      `json:"cm_msgs_per_txn"`
-	Classes        []benchClass `json:"classes"`
-	SLOBreaches    int          `json:"slo_breaches"`
-	FlightCaptures int          `json:"flight_captures"`
-	FlightEvicted  uint64       `json:"flight_evicted"`
-}
-
 // runSeries executes one telemetry-enabled deployment (same 2 PN / 3 SN /
 // 2 CM shape as the traced run) and emits the requested artifacts: a console
-// summary, the deterministic telemetry dump, the flight recorder's outlier
-// traces, and the machine-readable benchmark JSON.
-func runSeries(opt exp.Options, dumpFile, flightFile, jsonFile string) error {
+// summary, the deterministic telemetry dump and the flight recorder's outlier
+// traces. (Machine-readable performance numbers come from `bash bench/run.sh`.)
+func runSeries(opt exp.Options, dumpFile, flightFile string) error {
 	opt.Series = true
-	const pns, sns, cms = 2, 3, 2
-	run, err := exp.RunTell(opt, exp.TellParams{PNs: pns, SNs: sns, CMs: cms})
+	run, err := exp.RunTell(opt, exp.TellParams{PNs: 2, SNs: 3, CMs: 2})
 	if err != nil {
 		return err
 	}
@@ -196,7 +158,6 @@ func runSeries(opt exp.Options, dumpFile, flightFile, jsonFile string) error {
 	for _, s := range exp.DefaultSLOs() {
 		slos[s.Class] = s
 	}
-	var classes []benchClass
 	fmt.Printf("\n%-14s %8s %10s %10s %10s   SLO p99\n", "class", "count", "p50", "p99", "p999")
 	for _, d := range p.Snapshot() {
 		if d.Node != "txn" || !d.Hist || len(d.Metric) < 5 || d.Metric[:4] != "lat/" {
@@ -207,23 +168,14 @@ func runSeries(opt exp.Options, dumpFile, flightFile, jsonFile string) error {
 		if h == nil || h.Count() == 0 {
 			continue
 		}
-		bc := benchClass{
-			Class:  class,
-			Count:  h.Count(),
-			MeanNs: int64(h.Mean()),
-			P50Ns:  int64(h.Percentile(50)),
-			P99Ns:  int64(h.Percentile(99)),
-			P999Ns: int64(h.Percentile(99.9)),
-		}
-		classes = append(classes, bc)
 		target := "-"
 		if s, ok := slos[class]; ok {
 			target = s.P99.String()
 		}
-		fmt.Printf("%-14s %8d %10v %10v %10v   %s\n", class, bc.Count,
-			time.Duration(bc.P50Ns).Round(time.Microsecond),
-			time.Duration(bc.P99Ns).Round(time.Microsecond),
-			time.Duration(bc.P999Ns).Round(time.Microsecond), target)
+		fmt.Printf("%-14s %8d %10v %10v %10v   %s\n", class, h.Count(),
+			h.Percentile(50).Round(time.Microsecond),
+			h.Percentile(99).Round(time.Microsecond),
+			h.Percentile(99.9).Round(time.Microsecond), target)
 	}
 
 	// Hottest ranges over the retention horizon.
@@ -285,38 +237,6 @@ func runSeries(opt exp.Options, dumpFile, flightFile, jsonFile string) error {
 		}
 		fmt.Printf("wrote %s (%d captures, %d events) — open at ui.perfetto.dev\n",
 			flightFile, len(caps), len(events))
-	}
-	if jsonFile != "" {
-		br := benchResult{
-			Mix:            res.Mix,
-			Warehouses:     opt.Warehouses,
-			Scale:          opt.Scale,
-			Warmup:         opt.Warmup,
-			Measure:        opt.Measure,
-			Seed:           opt.Seed,
-			PNs:            pns,
-			SNs:            sns,
-			CMs:            cms,
-			TpmC:           res.TpmC(),
-			Tps:            res.Tps(),
-			AbortRate:      run.AbortRate,
-			MsgsPerTxn:     run.MsgsPerTxn,
-			BytesPerTxn:    run.BytesPerTxn,
-			CMMsgsPerTxn:   run.CMMsgsPerTxn,
-			Classes:        classes,
-			SLOBreaches:    len(breaches),
-			FlightCaptures: len(caps),
-			FlightEvicted:  evicted,
-		}
-		raw, err := json.MarshalIndent(&br, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if err := os.WriteFile(jsonFile, raw, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (machine-readable benchmark result)\n", jsonFile)
 	}
 	return nil
 }

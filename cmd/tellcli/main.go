@@ -343,9 +343,9 @@ func colWidth(min int, names ...string) int {
 }
 
 // stats fetches and pretty-prints a live telemetry snapshot from one
-// daemon (storage node or commit manager): handler-latency classes from its
-// metrics summary plus operation and trace counters. With -watch the view
-// refreshes in place.
+// daemon (storage node or commit manager): its windowed handler-latency
+// series plus operation and trace counters. With -watch the view refreshes
+// in place.
 func (c *cli) stats(args []string) error {
 	watch := false
 	if len(args) > 0 && args[0] == "-watch" {
@@ -355,53 +355,27 @@ func (c *cli) stats(args []string) error {
 		return fmt.Errorf("usage: stats [-watch] <addr>")
 	}
 	addr := args[0]
-	return c.watchLoop(watch, func() error { return c.statsOnce(addr) })
+	return c.watchLoop(watch, func() error { return c.showStats("node", addr) })
 }
 
-func (c *cli) statsOnce(addr string) error {
+// showStats fetches addr's stats snapshot and renders it under a header
+// naming what answered (one node, or the cluster via the manager).
+func (c *cli) showStats(what, addr string) error {
 	conn, err := c.tr.Dial(c.node, addr)
 	if err != nil {
 		return err
 	}
-	raw, err := conn.RoundTrip(c.ctx, wire.EncodeStatsReq())
+	raw, err := conn.RoundTrip(c.ctx, wire.EncodeStatsExtReq())
 	if err != nil {
 		return err
 	}
-	snap, err := wire.DecodeStatsSnapshot(raw)
+	ext, err := wire.DecodeStatsExt(raw)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("node %s  uptime %s\n", snap.Node, time.Duration(snap.UptimeNs).Round(time.Millisecond))
-	if len(snap.Classes) > 0 {
-		names := make([]string, len(snap.Classes))
-		for i, cl := range snap.Classes {
-			names[i] = cl.Name
-		}
-		w := colWidth(12, names...)
-		fmt.Printf("  %-*s %10s %12s %12s %12s\n", w, "class", "count", "mean", "p99", "max")
-		for _, cl := range snap.Classes {
-			fmt.Printf("  %-*s %10d %12s %12s %12s\n", w, cl.Name, cl.Count,
-				time.Duration(cl.MeanNs).Round(time.Microsecond),
-				time.Duration(cl.P99Ns).Round(time.Microsecond),
-				time.Duration(cl.MaxNs).Round(time.Microsecond))
-		}
-	}
-	names := make([]string, len(snap.Counters))
-	for i, ct := range snap.Counters {
-		names[i] = ct.Name
-	}
-	w := colWidth(28, names...)
-	for _, ct := range snap.Counters {
-		fmt.Printf("  %-*s %d\n", w, ct.Name, ct.Value)
-	}
-	// The windowed view over the extended stats protocol: series, heat,
-	// breaches and flight state from this one daemon (best-effort — an
-	// older daemon without the protocol just shows the base snapshot).
-	if raw, err := conn.RoundTrip(c.ctx, wire.EncodeStatsExtReq()); err == nil {
-		if ext, err := wire.DecodeStatsExt(raw); err == nil {
-			renderExt(ext)
-		}
-	}
+	fmt.Printf("%s %s  t=%v  window=%v\n", what, ext.Node,
+		time.Duration(ext.NowNs).Round(time.Millisecond), time.Duration(ext.WindowNs))
+	renderExt(ext)
 	return nil
 }
 
@@ -421,29 +395,10 @@ func (c *cli) top(args []string) error {
 		}
 		addr = a
 	}
-	return c.watchLoop(watch, func() error { return c.topOnce(addr) })
+	return c.watchLoop(watch, func() error { return c.showStats("cluster via", addr) })
 }
 
-func (c *cli) topOnce(addr string) error {
-	conn, err := c.tr.Dial(c.node, addr)
-	if err != nil {
-		return err
-	}
-	raw, err := conn.RoundTrip(c.ctx, wire.EncodeStatsExtReq())
-	if err != nil {
-		return err
-	}
-	ext, err := wire.DecodeStatsExt(raw)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cluster via %s  t=%v  window=%v\n", ext.Node,
-		time.Duration(ext.NowNs).Round(time.Millisecond), time.Duration(ext.WindowNs))
-	renderExt(ext)
-	return nil
-}
-
-// renderExt pretty-prints one extended telemetry snapshot — a single
+// renderExt pretty-prints one telemetry snapshot — a single
 // daemon's own view (`stats`) or the manager's merged cluster view (`top`).
 func renderExt(ext *wire.StatsExt) {
 	var hists, rates []wire.SeriesStat

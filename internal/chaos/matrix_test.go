@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"tell/internal/chaos"
-	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/durable"
 	"tell/internal/env"
 	"tell/internal/histcheck"
-	"tell/internal/recovery"
 	"tell/internal/relational"
 	"tell/internal/sim"
 	"tell/internal/store"
@@ -25,16 +24,8 @@ import (
 // The durable variant (newDurableRig) swaps the storage tier for WAL-backed
 // nodes with a scatter-gather recoverer.
 type rig struct {
-	k       *sim.Kernel
-	envr    env.Full
-	net     *transport.SimNet
-	cluster *store.Cluster
-	cms     []*commitmgr.Server
-	pns     []*core.PN
-	hist    *histcheck.History
-	driver  env.Node
-	seed    int64
-	rec     *recovery.SNRecoverer // nil unless durable
+	*deploy.Sim
+	hist *histcheck.History
 }
 
 func newRig(t *testing.T, seed int64, class transport.NetworkClass, weakened bool) *rig {
@@ -68,12 +59,12 @@ func newDurableRig(t *testing.T, seed int64, class transport.NetworkClass, rf in
 func (r *rig) wireNodeHooks(inj *chaos.Injector) {
 	inj.SetNodeHooks(chaos.NodeHooks{
 		Crash: func(addr string, loseDisk bool) {
-			if sn := r.cluster.Node(addr); sn != nil {
+			if sn := r.Storage.Node(addr); sn != nil {
 				sn.CrashVolatile(loseDisk)
 			}
 		},
 		Restart: func(addr string) {
-			if sn := r.cluster.Node(addr); sn != nil {
+			if sn := r.Storage.Node(addr); sn != nil {
 				sn.RecoverAsync()
 			}
 		},
@@ -82,43 +73,31 @@ func (r *rig) wireNodeHooks(inj *chaos.Injector) {
 
 func buildRig(t *testing.T, seed int64, class transport.NetworkClass, weakened bool, cfg store.ClusterConfig) *rig {
 	t.Helper()
-	k := sim.NewKernel(seed)
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, class)
-	cl, err := store.NewCluster(envr, net, cfg)
+	s := deploy.NewSim(seed, class)
+	err := s.Build(deploy.Spec{
+		Storage: cfg,
+		CMs:     2,
+		PNs:     2,
+		PN:      core.Config{SkipWriteValidation: weakened},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{k: k, envr: envr, net: net, cluster: cl, hist: histcheck.New(), seed: seed}
-	if cfg.Durable != nil {
-		r.rec = recovery.NewSNRecoverer(envr, envr.NewNode("rec0", 2), net, cfg.Durable.Backend)
-		cl.Manager.Recoverer = r.rec
-	}
-	cmAddrs := []string{"cm0", "cm1"}
-	for _, id := range cmAddrs {
-		node := envr.NewNode(id, 2)
-		cm := commitmgr.New(id, id, envr, node, net, cl.NewClient(node))
-		cm.Peers = cmAddrs
+	r := &rig{Sim: s, hist: histcheck.New()}
+	for _, cm := range s.CMs {
 		// Detect a dead peer and recover its finish facts from the
 		// transaction log well within a chaos cell's settle window.
 		cm.StalePeerTicks = 40
 		cm.RecoveryEvery = 25
 		cm.RecoveryGrace = 50 * time.Millisecond
-		if err := cm.Start(); err != nil {
-			t.Fatal(err)
-		}
-		r.cms = append(r.cms, cm)
 	}
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("pn%d", i)
-		node := envr.NewNode(name, 4)
-		pn := core.New(core.Config{ID: name, SkipWriteValidation: weakened}, envr, node, net,
-			cl.NewClient(node), commitmgr.NewClient(envr, node, net, cmAddrs))
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pn := range s.PNs {
 		pn.SetRecorder(r.hist)
 		pn.StartWorkers()
-		r.pns = append(r.pns, pn)
 	}
-	r.driver = envr.NewNode("driver", 4)
 	return r
 }
 
@@ -157,8 +136,8 @@ func bankScenarios(at time.Duration) []scenario {
 			// Isolate sn1 from everyone, including the cluster manager:
 			// its pings time out, partitions fail over, then the network
 			// heals and the stale node rejoins a world that moved on.
-			rest := []string{"cm0", "cm1", "pn0", "pn1", "driver", r.cluster.ManagerAddr()}
-			for _, a := range r.cluster.Addrs() {
+			rest := []string{"cm0", "cm1", "pn0", "pn1", r.Driver.Name(), r.Storage.ManagerAddr()}
+			for _, a := range r.Storage.Addrs() {
 				if a != "sn1" {
 					rest = append(rest, a)
 				}
@@ -213,7 +192,7 @@ func runBankCell(t *testing.T, class transport.NetworkClass, sc scenario) {
 }
 
 func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenario, seed int64) {
-	inj := chaos.Install(r.k, r.net, sc.plan(r), seed)
+	inj := chaos.Install(r.K, r.Net, sc.plan(r), seed)
 	r.wireNodeHooks(inj)
 	defer inj.Uninstall()
 
@@ -225,24 +204,24 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 	finished := 0
 	commitsAfterFault := 0
 
-	r.driver.Go("bank", func(ctx env.Ctx) {
+	r.Driver.Go("bank", func(ctx env.Ctx) {
 		// Setup with retries: always-on plans (flaky-network) are already
 		// injecting faults while the table is created.
 		var err error
 		for attempt := 0; ; attempt++ {
-			table, err = r.pns[0].Catalog().CreateTable(ctx, accountsSchema())
+			table, err = r.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
 			if err == nil {
 				break
 			}
 			if attempt > 20 {
 				t.Errorf("create table: %v", err)
-				r.k.Stop()
+				r.K.Stop()
 				return
 			}
 			ctx.Sleep(10 * time.Millisecond)
 		}
 		for attempt := 0; ; attempt++ {
-			setup, err := r.pns[0].Begin(ctx)
+			setup, err := r.PNs[0].Begin(ctx)
 			if err == nil {
 				rids = rids[:0]
 				for i := int64(0); i < nAcc && err == nil; i++ {
@@ -261,15 +240,15 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 			}
 			if attempt > 20 {
 				t.Errorf("setup: %v", err)
-				r.k.Stop()
+				r.K.Stop()
 				return
 			}
 			ctx.Sleep(10 * time.Millisecond)
 		}
 
 		for w := 0; w < workers; w++ {
-			pn := r.pns[w%len(r.pns)]
-			r.driver.Go("worker", func(ctx env.Ctx) {
+			pn := r.PNs[w%len(r.PNs)]
+			r.Driver.Go("worker", func(ctx env.Ctx) {
 				defer func() { finished++ }()
 				tbl := openWithRetry(t, ctx, pn, "accounts")
 				if tbl == nil {
@@ -308,7 +287,7 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 			})
 		}
 
-		r.driver.Go("verify", func(ctx env.Ctx) {
+		r.Driver.Go("verify", func(ctx env.Ctx) {
 			for finished < workers {
 				ctx.Sleep(5 * time.Millisecond)
 			}
@@ -319,7 +298,7 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 			var lastErr error
 			scanned := false
 			for attempt := 0; attempt < 20 && !scanned; attempt++ {
-				txn, err := r.pns[0].Begin(ctx)
+				txn, err := r.PNs[0].Begin(ctx)
 				if err != nil {
 					lastErr = fmt.Errorf("begin: %w", err)
 					ctx.Sleep(10 * time.Millisecond)
@@ -342,10 +321,10 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 			} else if total != nAcc*100 {
 				t.Errorf("store total = %d, want %d: committed money lost or duplicated", total, nAcc*100)
 			}
-			r.k.Stop()
+			r.K.Stop()
 		})
 	})
-	if err := r.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := r.K.RunUntil(sim.Time(3000 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if finished != workers {
@@ -381,8 +360,8 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 	drops, dups, delays := inj.Stats()
 	t.Logf("%s/%s: seed=%d committed=%d afterFault=%d failovers=%d faults(drop=%d dup=%d delay=%d)\n%s",
 		class.Name, sc.name, seed, committed, commitsAfterFault,
-		r.cluster.Manager.Failovers(), drops, dups, delays, rep)
-	r.k.Shutdown()
+		r.Storage.Manager.Failovers(), drops, dups, delays, rep)
+	r.K.Shutdown()
 }
 
 func openWithRetry(t *testing.T, ctx env.Ctx, pn *core.PN, name string) *core.TableInfo {
@@ -428,26 +407,29 @@ func TestNegativeControlWeakenedEngineFlagsAnomalies(t *testing.T) {
 	var rids []uint64
 	finished := 0
 
-	r.driver.Go("weakened", func(ctx env.Ctx) {
-		table, err := r.pns[0].Catalog().CreateTable(ctx, accountsSchema())
+	r.Driver.Go("weakened", func(ctx env.Ctx) {
+		table, err := r.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
 		if err != nil {
 			t.Error(err)
-			r.k.Stop()
+			r.K.Stop()
 			return
 		}
-		setup, _ := r.pns[0].Begin(ctx)
+		setup, _ := r.PNs[0].Begin(ctx)
 		for i := int64(0); i < nAcc; i++ {
 			rid, _ := setup.Insert(ctx, table, account(i, "a", 100))
 			rids = append(rids, rid)
 		}
 		if err := setup.Commit(ctx); err != nil {
 			t.Error(err)
-			r.k.Stop()
+			r.K.Stop()
 			return
 		}
+		// pn1 takes its snapshots from cm1, which learns of this commit at
+		// its next sync with cm0.
+		ctx.Sleep(5 * time.Millisecond)
 		for w := 0; w < workers; w++ {
-			pn := r.pns[w%len(r.pns)]
-			r.driver.Go("worker", func(ctx env.Ctx) {
+			pn := r.PNs[w%len(r.PNs)]
+			r.Driver.Go("worker", func(ctx env.Ctx) {
 				tbl, _ := pn.Catalog().OpenTable(ctx, "accounts")
 				for i := 0; i < 25; i++ {
 					txn, err := pn.Begin(ctx)
@@ -465,12 +447,12 @@ func TestNegativeControlWeakenedEngineFlagsAnomalies(t *testing.T) {
 				}
 				finished++
 				if finished == workers {
-					r.k.Stop()
+					r.K.Stop()
 				}
 			})
 		}
 	})
-	if err := r.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := r.K.RunUntil(sim.Time(3000 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if finished != workers {
@@ -482,5 +464,5 @@ func TestNegativeControlWeakenedEngineFlagsAnomalies(t *testing.T) {
 		t.Fatalf("weakened engine produced no lost updates; checker has no teeth (report: %s)", rep)
 	}
 	t.Logf("negative control: %d lost updates detected (of %d anomalies)", lost, len(rep.Anomalies))
-	r.k.Shutdown()
+	r.K.Shutdown()
 }

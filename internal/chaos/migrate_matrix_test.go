@@ -68,13 +68,13 @@ type migProbe struct {
 // later adopts the journal.
 func launchMigration(t *testing.T, r *rig, kill migKill, fill int) *migProbe {
 	t.Helper()
-	mgr := r.cluster.Manager
+	mgr := r.Storage.Manager
 	journal := durable.NewMem()
 	mgr.SetJournal(journal)
 
 	for i := 0; i < fill; i++ {
 		key := fmt.Sprintf("fill%05d", i)
-		if err := r.cluster.BulkLoad([]byte(key), []byte("x")); err != nil {
+		if err := r.Storage.BulkLoad([]byte(key), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,8 +83,8 @@ func launchMigration(t *testing.T, r *rig, kill migKill, fill int) *migProbe {
 		// kill is emulated at the journal boundary and needs no widening — a
 		// throttled copy there only starves the delta phase under TPC-C's
 		// write rate.
-		for _, addr := range r.cluster.Addrs() {
-			r.cluster.Node(addr).MigrateChunkDelay = 25 * time.Millisecond
+		for _, addr := range r.Storage.Addrs() {
+			r.Storage.Node(addr).MigrateChunkDelay = 25 * time.Millisecond
 		}
 	}
 
@@ -108,8 +108,8 @@ func launchMigration(t *testing.T, r *rig, kill migKill, fill int) *migProbe {
 	mgr.Node().Go("migration-driver", func(ctx env.Ctx) {
 		// The filler bypassed the WAL; on a durable rig checkpoint it so the
 		// crashed node's recovery rebuilds a complete image.
-		if fill > 0 && r.rec != nil {
-			if err := r.cluster.CheckpointAll(ctx); err != nil {
+		if fill > 0 && r.Recoverer != nil {
+			if err := r.Storage.CheckpointAll(ctx); err != nil {
 				t.Errorf("checkpoint after fill: %v", err)
 			}
 		}
@@ -140,7 +140,7 @@ func launchMigration(t *testing.T, r *rig, kill migKill, fill int) *migProbe {
 		// republish the committed map and release the fence, while the bank
 		// workers ride out the fenced window on their retry budget.
 		ctx.Sleep(60 * time.Millisecond)
-		m2 := store.NewManager("mgmt-r", r.envr, r.envr.NewNode("mgmt-r", 2), r.net)
+		m2 := store.NewManager("mgmt-r", r.Env, r.Env.NewNode("mgmt-r", 2), r.Net)
 		m2.SetMap(mgr.Map())
 		m2.SetJournal(journal)
 		if err := m2.ResolveJournal(ctx); err != nil {

@@ -77,12 +77,12 @@ func runTpccCell(t *testing.T, class transport.NetworkClass, sc scenario) {
 
 func runTpccCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenario, seed int64) {
 	cfg := tpcc.Config{Warehouses: 2, Scale: 0.02, Seed: seed}
-	loaded, err := tpcc.Load(r.cluster, cfg)
+	loaded, err := tpcc.Load(r.Storage, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg = loaded.Config
-	inj := chaos.Install(r.k, r.net, sc.plan(r), seed)
+	inj := chaos.Install(r.K, r.Net, sc.plan(r), seed)
 	r.wireNodeHooks(inj)
 	defer inj.Uninstall()
 
@@ -92,21 +92,21 @@ func runTpccCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 	committed := 0
 	commitsAfterFault := 0
 
-	r.driver.Go("tpcc", func(ctx env.Ctx) {
+	r.Driver.Go("tpcc", func(ctx env.Ctx) {
 		// BulkLoad writes straight into the memtables, bypassing the WAL;
 		// on a durable rig, checkpoint the loaded state first so a crash
 		// can rebuild the initial database from the blob tier.
-		if r.rec != nil {
-			if err := r.cluster.CheckpointAll(ctx); err != nil {
+		if r.Recoverer != nil {
+			if err := r.Storage.CheckpointAll(ctx); err != nil {
 				t.Errorf("checkpoint after load: %v", err)
-				r.k.Stop()
+				r.K.Stop()
 				return
 			}
 		}
 		for term := 0; term < terminals; term++ {
 			term := term
-			pn := r.pns[term%len(r.pns)]
-			r.driver.Go("terminal", func(ctx env.Ctx) {
+			pn := r.PNs[term%len(r.PNs)]
+			r.Driver.Go("terminal", func(ctx env.Ctx) {
 				defer func() { finished++ }()
 				// Engine construction opens the catalog; always-on plans
 				// are already dropping packets, so retry.
@@ -159,7 +159,7 @@ func runTpccCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 		checked := false
 		var lastErr error
 		for attempt := 0; attempt < 20 && !checked; attempt++ {
-			lastErr = checkDistricts(ctx, t, r.pns[0], cfg)
+			lastErr = checkDistricts(ctx, t, r.PNs[0], cfg)
 			checked = lastErr == nil
 			if !checked {
 				ctx.Sleep(10 * time.Millisecond)
@@ -168,9 +168,9 @@ func runTpccCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 		if !checked {
 			t.Errorf("district consistency unverifiable: %v", lastErr)
 		}
-		r.k.Stop()
+		r.K.Stop()
 	})
-	if err := r.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := r.K.RunUntil(sim.Time(3000 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if finished != terminals {
@@ -189,7 +189,7 @@ func runTpccCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 	drops, dups, delays := inj.Stats()
 	t.Logf("%s/%s: seed=%d committed=%d afterFault=%d faults(drop=%d dup=%d delay=%d)\n%s",
 		class.Name, sc.name, seed, committed, commitsAfterFault, drops, dups, delays, rep)
-	r.k.Shutdown()
+	r.K.Shutdown()
 }
 
 // checkDistricts verifies d_next_o_id - 1 == max(o_id) for every district.

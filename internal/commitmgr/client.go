@@ -85,7 +85,6 @@ type Client struct {
 	lastSnap *mvcc.Snapshot
 	nMsgs    uint64
 	nStarts  uint64
-	nFins    uint64
 }
 
 // cmClientInstances numbers client instances for token identity, per
@@ -147,13 +146,6 @@ func (c *Client) Started() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.nStarts
-}
-
-// FinsSent returns how many finish notifications were acknowledged.
-func (c *Client) FinsSent() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nFins
 }
 
 // Close shuts the coalescer down. Operations already queued are still
@@ -515,7 +507,6 @@ func (c *Client) sendGroup(ctx env.Ctx, starts []*startWaiter, fins []*finWaiter
 		}
 		c.mu.Lock()
 		c.nStarts += uint64(len(starts))
-		c.nFins += uint64(len(fins))
 		c.mu.Unlock()
 		for i, w := range starts {
 			out := startOutcome{res: results[i]}
@@ -675,8 +666,5 @@ func (c *Client) finished(ctx env.Ctx, tid uint64, committed bool) error {
 	if st := wire.Status(r.Byte()); st != wire.StatusOK {
 		return fmt.Errorf("commitmgr: finished(%d) failed: %v", tid, st)
 	}
-	c.mu.Lock()
-	c.nFins++
-	c.mu.Unlock()
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"tell/internal/commitmgr"
 	"tell/internal/env"
+	"tell/internal/obs"
 	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
@@ -336,28 +337,18 @@ func TestInterleavedTidsUniqueAndBaseAdvances(t *testing.T) {
 	})
 }
 
-// TestStatsSnapshot: a KindStatsReq against a commit manager must return a
+// TestStatsSnapshot: a stats request against a commit manager must return a
 // snapshot reflecting the starts it has served.
 func TestStatsSnapshot(t *testing.T) {
 	h := newCMHarness(t, 1)
+	h.cms[0].SetObs(obs.New(obs.Config{}, h.envr.Now))
 	h.run(t, func(ctx env.Ctx) {
 		for i := 0; i < 3; i++ {
 			if _, err := h.client.Start(ctx); err != nil {
 				t.Fatalf("start: %v", err)
 			}
 		}
-		conn, err := h.net.Dial(h.pn, "cm0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := conn.RoundTrip(ctx, wire.EncodeStatsReq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := wire.DecodeStatsSnapshot(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := cmStats(t, ctx, h, "cm0")
 		if snap.Node != "cm0" {
 			t.Fatalf("node %q", snap.Node)
 		}
@@ -366,22 +357,39 @@ func TestStatsSnapshot(t *testing.T) {
 		// "start". Sequential starts cannot batch, so either way three
 		// requests were served.
 		var startCount uint64
-		for _, c := range snap.Classes {
-			if c.Name == "start" || c.Name == "start-group" {
-				startCount += c.Count
+		counters := map[string]int64{}
+		for _, s := range snap.Series {
+			if !s.Hist {
+				counters[s.Metric] = s.Total
+			} else if s.Metric == "lat/start" || s.Metric == "lat/start-group" {
+				startCount += s.Count
 			}
 		}
 		if startCount != 3 {
 			t.Fatalf("start(+group) class count %d, want 3", startCount)
 		}
-		counters := map[string]int64{}
-		for _, c := range snap.Counters {
-			counters[c.Name] = c.Value
-		}
 		if counters["cm/starts"] != 3 {
 			t.Fatalf("cm/starts = %d", counters["cm/starts"])
 		}
 	})
+}
+
+// cmStats fetches a manager's stats snapshot.
+func cmStats(t *testing.T, ctx env.Ctx, h *cmHarness, addr string) *wire.StatsExt {
+	t.Helper()
+	conn, err := h.net.Dial(h.pn, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := conn.RoundTrip(ctx, wire.EncodeStatsExtReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := wire.DecodeStatsExt(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 func TestRestartedManagerResumesOwnState(t *testing.T) {

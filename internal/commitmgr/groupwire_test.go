@@ -226,24 +226,12 @@ func TestFailOverResyncsDeltaState(t *testing.T) {
 // stats endpoint.
 func cmCounters(t *testing.T, ctx env.Ctx, h *cmHarness, addr string) (deltas, fulls int64) {
 	t.Helper()
-	conn, err := h.net.Dial(h.pn, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := conn.RoundTrip(ctx, wire.EncodeStatsReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := wire.DecodeStatsSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range snap.Counters {
-		switch c.Name {
+	for _, s := range cmStats(t, ctx, h, addr).Series {
+		switch s.Metric {
 		case "cm/deltas":
-			deltas = c.Value
+			deltas = s.Total
 		case "cm/fulls":
-			fulls = c.Value
+			fulls = s.Total
 		}
 	}
 	return deltas, fulls

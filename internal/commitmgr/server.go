@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tell/internal/env"
-	"tell/internal/metrics"
 	"tell/internal/mvcc"
 	"tell/internal/obs"
 	"tell/internal/resil"
@@ -128,7 +127,6 @@ type Server struct {
 	// deltas/fulls count grouped responses by descriptor form (telemetry
 	// for the delta-encoding hit rate; gap or fail-over forces a full).
 	deltas, fulls uint64
-	lat           *metrics.Summary // handler latency per request class
 	// obs, if set, feeds handler latencies into the windowed telemetry
 	// pipeline (nil disables; every hook below is nil-safe).
 	obs *obs.Pipeline
@@ -165,7 +163,6 @@ func New(id, addr string, envr env.Full, node env.Node, tr transport.Transport, 
 		StalePeerTicks: 5000,
 		RecoveryGrace:  100 * time.Millisecond,
 		RecoveryEvery:  100,
-		lat:            metrics.NewSummary(),
 	}
 	s.mu.SetName("commitmgr.Server.mu")
 	return s
@@ -180,13 +177,6 @@ func (s *Server) Sheds() uint64 { return s.gate.Sheds() }
 // Replays returns how many duplicate grouped starts were answered from the
 // dedup window instead of re-executing.
 func (s *Server) Replays() uint64 { return s.dedup.Replays() }
-
-// Starts returns how many transactions this manager has started.
-func (s *Server) Starts() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.starts
-}
 
 // Start registers the handler and the synchronization loop.
 func (s *Server) Start() error {
@@ -264,11 +254,10 @@ func (s *Server) handle(ctx env.Ctx, raw []byte) []byte {
 	if wire.PeekKind(raw) == wire.KindPing {
 		return []byte{byte(wire.KindPong)}
 	}
-	if wire.PeekKind(raw) == wire.KindStatsReq {
-		return s.handleStats(ctx)
-	}
 	if wire.PeekKind(raw) == wire.KindStatsExtReq {
-		return s.obs.StatsExt(s.id).Encode()
+		ext := s.obs.StatsExt(s.id)
+		s.fillCounters(ext, ctx.Now())
+		return ext.Encode()
 	}
 	// Admission control: shed rather than queue without bound (pings and
 	// stats above bypass — the failure detector must see an overloaded
@@ -293,7 +282,7 @@ func (s *Server) handleCM(ctx env.Ctx, raw []byte) []byte {
 	switch cmSub(r.Byte()) {
 	case cmStart:
 		resp := s.handleStart(ctx)
-		s.recordLat("start", ctx.Now()-began)
+		s.observe("start", ctx.Now()-began)
 		return resp
 	case cmStartGroup:
 		req, err := DecodeStartGroupReq(raw)
@@ -301,7 +290,7 @@ func (s *Server) handleCM(ctx env.Ctx, raw []byte) []byte {
 			return (&StartGroupResp{Status: wire.StatusError}).Encode()
 		}
 		resp := s.startGroupDedup(ctx, req)
-		s.recordLat("start-group", ctx.Now()-began)
+		s.observe("start-group", ctx.Now()-began)
 		return resp
 	case cmFinished:
 		tid := r.Uvarint()
@@ -310,7 +299,7 @@ func (s *Server) handleCM(ctx env.Ctx, raw []byte) []byte {
 			return ackResp(wire.StatusError)
 		}
 		s.finish(tid, committed)
-		s.recordLat("finish", ctx.Now()-began)
+		s.observe("finish", ctx.Now()-began)
 		return ackResp(wire.StatusOK)
 	case cmFence:
 		w := wire.NewWriter(16)
@@ -318,48 +307,36 @@ func (s *Server) handleCM(ctx env.Ctx, raw []byte) []byte {
 		w.Byte(byte(cmFence))
 		w.Byte(byte(wire.StatusOK))
 		w.Uvarint(s.Lav())
-		s.recordLat("fence", ctx.Now()-began)
+		s.observe("fence", ctx.Now()-began)
 		return w.Bytes()
 	}
 	return ackResp(wire.StatusError)
 }
 
-func (s *Server) recordLat(class string, d time.Duration) {
-	s.mu.Lock()
-	s.lat.Record(class, d)
-	s.mu.Unlock()
+// observe feeds one handler latency to the telemetry pipeline.
+func (s *Server) observe(class string, d time.Duration) {
 	s.obs.ObserveClass(s.obs.Now(), s.id, class, d)
 }
 
-// handleStats serves a telemetry snapshot: per-class handler-latency digests
-// plus start counts, the current lav, and any trace-recorder counters.
-func (s *Server) handleStats(ctx env.Ctx) []byte {
-	snap := &wire.StatsSnapshot{Node: s.id, UptimeNs: int64(ctx.Now())}
+// fillCounters appends the manager's running totals (and the process's
+// trace counters) to a stats snapshot as plain series rows.
+func (s *Server) fillCounters(ext *wire.StatsExt, now time.Duration) {
+	if ext.NowNs == 0 {
+		ext.NowNs = int64(now) // no pipeline: report uptime on the env clock
+	}
 	s.mu.Lock()
-	for _, name := range s.lat.Names() {
-		h := s.lat.Get(name)
-		snap.Classes = append(snap.Classes, wire.StatsClass{
-			Name:   name,
-			Count:  h.Count(),
-			MeanNs: int64(h.Mean()),
-			P99Ns:  int64(h.Percentile(99)),
-			MaxNs:  int64(h.Max()),
-		})
-	}
-	snap.Counters = append(snap.Counters,
-		wire.StatsCounter{Name: "cm/starts", Value: int64(s.starts)},
-		wire.StatsCounter{Name: "cm/active", Value: int64(len(s.active))},
-		wire.StatsCounter{Name: "cm/lav", Value: int64(s.lavLocked())},
-		wire.StatsCounter{Name: "cm/deltas", Value: int64(s.deltas)},
-		wire.StatsCounter{Name: "cm/fulls", Value: int64(s.fulls)},
-		wire.StatsCounter{Name: "resil/replays", Value: int64(s.dedup.Replays())},
-		wire.StatsCounter{Name: "resil/sheds", Value: int64(s.gate.Sheds())},
-	)
+	ext.AddCounter(s.id, "cm/starts", int64(s.starts))
+	ext.AddCounter(s.id, "cm/active", int64(len(s.active)))
+	ext.AddCounter(s.id, "cm/lav", int64(s.lavLocked()))
+	ext.AddCounter(s.id, "cm/deltas", int64(s.deltas))
+	ext.AddCounter(s.id, "cm/fulls", int64(s.fulls))
 	s.mu.Unlock()
+	ext.AddCounter(s.id, "resil/replays", int64(s.dedup.Replays()))
+	ext.AddCounter(s.id, "resil/sheds", int64(s.gate.Sheds()))
 	for _, c := range env.Tracer(s.envr).Counters() {
-		snap.Counters = append(snap.Counters, wire.StatsCounter{Name: "trace/" + c.Name, Value: c.Value})
+		ext.AddCounter(s.id, "trace/"+c.Name, c.Value)
 	}
-	return snap.Encode()
+	ext.SortRows()
 }
 
 // peerIndex returns this manager's position in the (sorted) fleet and the
@@ -681,13 +658,6 @@ func (s *Server) Lav() uint64 {
 	return s.lavLocked()
 }
 
-// Descriptor returns a copy of the current snapshot descriptor.
-func (s *Server) Descriptor() *mvcc.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.comm.Clone()
-}
-
 // syncLoop periodically publishes this manager's state to the store and
 // merges the other managers' states (§4.2: "in short intervals, every
 // commit manager writes its snapshot to the store and thereafter reads the
@@ -900,7 +870,7 @@ func (s *Server) recoverDeadPeers(ctx env.Ctx) {
 		case e.Committed:
 			s.finish(e.TID, true)
 		case e.Aborted:
-			s.finish(e.TID, false)
+			s.finishAborted(ctx, e)
 		case now-e.Timestamp > s.RecoveryGrace:
 			// No outcome for a long time: the report was lost with the
 			// dead manager. Fence, then close; the fence resolves the race
@@ -909,11 +879,25 @@ func (s *Server) recoverDeadPeers(ctx env.Ctx) {
 				if committed {
 					s.finish(e.TID, true)
 				} else if fenced {
-					s.finish(e.TID, false)
+					s.finishAborted(ctx, e)
 				}
 			}
 		}
 	}
+}
+
+// finishAborted closes a fenced transaction found by the sweep. Its owner
+// may be merely slow — still applying, or half-way through its own rollback —
+// and a finished tid enters every later snapshot, so whatever versions it
+// left behind must be gone first or readers would see aborted data. If the
+// rollback cannot complete now the tid stays open for the next sweep.
+func (s *Server) finishAborted(ctx env.Ctx, e *txlog.Entry) {
+	for _, key := range e.WriteSet {
+		if err := txlog.RollbackVersion(ctx, s.sc, key, e.TID); err != nil {
+			return
+		}
+	}
+	s.finish(e.TID, false)
 }
 
 // tidFinished reports whether tid is already in the finished set.

@@ -13,7 +13,7 @@ import (
 func TestReadManyBatchesLookups(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		for i := int64(0); i < 30; i++ {
@@ -63,7 +63,7 @@ func TestReadManyUnderSharedBuffers(t *testing.T) {
 		t.Run(buf.String(), func(t *testing.T) {
 			e := newEngine(t, 1, buf)
 			e.run(t, func(ctx env.Ctx) {
-				pn := e.pns[0]
+				pn := e.PNs[0]
 				table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 				setup, _ := pn.Begin(ctx)
 				for i := int64(0); i < 10; i++ {
@@ -85,7 +85,7 @@ func TestReadManyUnderSharedBuffers(t *testing.T) {
 func TestScanIndexExplicitRange(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		for i, name := range []string{"anna", "bert", "carl", "dora", "emil"} {
@@ -118,7 +118,7 @@ func TestScanIndexExplicitRange(t *testing.T) {
 func TestScanTableFiltered(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		for i := int64(0); i < 40; i++ {

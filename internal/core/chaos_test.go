@@ -1,12 +1,11 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/mvcc"
 	"tell/internal/relational"
@@ -29,14 +28,14 @@ func TestStorageFailureDuringTransfers(t *testing.T) {
 	transfersAfterKill := 0
 	killed := false
 
-	e.driver.Go("chaos", func(ctx env.Ctx) {
-		table, err := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
+	e.Driver.Go("chaos", func(ctx env.Ctx) {
+		table, err := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
 		if err != nil {
 			t.Error(err)
-			e.k.Stop()
+			e.K.Stop()
 			return
 		}
-		setup, _ := e.pns[0].Begin(ctx)
+		setup, _ := e.PNs[0].Begin(ctx)
 		for i := int64(0); i < nAcc; i++ {
 			rid, _ := setup.Insert(ctx, table, account(i, "a", 100))
 			rids = append(rids, rid)
@@ -45,8 +44,8 @@ func TestStorageFailureDuringTransfers(t *testing.T) {
 
 		for w := 0; w < workers; w++ {
 			w := w
-			pn := e.pns[w%len(e.pns)]
-			e.driver.Go("worker", func(ctx env.Ctx) {
+			pn := e.PNs[w%len(e.PNs)]
+			e.Driver.Go("worker", func(ctx env.Ctx) {
 				tbl, _ := pn.Catalog().OpenTable(ctx, "accounts")
 				rng := ctx.Rand()
 				for i := 0; i < 120; i++ {
@@ -83,14 +82,14 @@ func TestStorageFailureDuringTransfers(t *testing.T) {
 		}
 
 		// Kill a storage node mid-run.
-		e.driver.Go("killer", func(ctx env.Ctx) {
+		e.Driver.Go("killer", func(ctx env.Ctx) {
 			ctx.Sleep(10 * time.Millisecond)
-			e.net.SetDown("sn1", true)
+			e.Net.SetDown("sn1", true)
 			killed = true
 		})
 
 		// Verifier: wait for workers, check the invariant.
-		e.driver.Go("verify", func(ctx env.Ctx) {
+		e.Driver.Go("verify", func(ctx env.Ctx) {
 			for finished < workers {
 				ctx.Sleep(5 * time.Millisecond)
 			}
@@ -99,7 +98,7 @@ func TestStorageFailureDuringTransfers(t *testing.T) {
 			var total int64
 			ok := false
 			for attempt := 0; attempt < 10 && !ok; attempt++ {
-				txn, err := e.pns[0].Begin(ctx)
+				txn, err := e.PNs[0].Begin(ctx)
 				if err != nil {
 					ctx.Sleep(10 * time.Millisecond)
 					continue
@@ -122,61 +121,41 @@ func TestStorageFailureDuringTransfers(t *testing.T) {
 			if transfersAfterKill == 0 {
 				t.Error("no transfers committed after the storage failure (availability lost)")
 			}
-			e.k.Stop()
+			e.K.Stop()
 		})
 	})
-	if err := e.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := e.K.RunUntil(sim.Time(3000 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if finished != workers {
 		t.Fatalf("only %d/%d workers finished", finished, workers)
 	}
-	e.k.Shutdown()
+	e.K.Shutdown()
 }
 
-// engine2CM is the fault-tolerant variant of the test engine: two commit
+// newEngine2CM is the fault-tolerant variant of the test engine: two commit
 // managers with fast peer-failure detection, so one can be killed and later
 // restarted mid-workload.
-type engine2CM struct {
-	k      *sim.Kernel
-	net    *transport.SimNet
-	cms    []*commitmgr.Server
-	pns    []*core.PN
-	driver env.Node
-}
-
-func newEngine2CM(t *testing.T, seed int64, nPNs int) *engine2CM {
+func newEngine2CM(t *testing.T, seed int64, nPNs int) *engine {
 	t.Helper()
-	k := sim.NewKernel(seed)
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, transport.InfiniBand())
-	cl, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 3, ReplicationFactor: 2})
+	s := deploy.NewSim(seed, transport.InfiniBand())
+	err := s.Build(deploy.Spec{
+		Storage: store.ClusterConfig{NumNodes: 3, ReplicationFactor: 2},
+		CMs:     2,
+		PNs:     nPNs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &engine2CM{k: k, net: net}
-	cmAddrs := []string{"cm0", "cm1"}
-	for _, id := range cmAddrs {
-		node := envr.NewNode(id, 2)
-		cm := commitmgr.New(id, id, envr, node, net, cl.NewClient(node))
-		cm.Peers = cmAddrs
+	for _, cm := range s.CMs {
 		cm.StalePeerTicks = 40
 		cm.RecoveryEvery = 25
 		cm.RecoveryGrace = 50 * time.Millisecond
-		if err := cm.Start(); err != nil {
-			t.Fatal(err)
-		}
-		e.cms = append(e.cms, cm)
 	}
-	for i := 0; i < nPNs; i++ {
-		name := fmt.Sprintf("pn%d", i)
-		node := envr.NewNode(name, 4)
-		pn := core.New(core.Config{ID: name, Buffer: core.TB}, envr, node, net,
-			cl.NewClient(node), commitmgr.NewClient(envr, node, net, cmAddrs))
-		e.pns = append(e.pns, pn)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
 	}
-	e.driver = envr.NewNode("driver", 4)
-	return e
+	return &engine{s}
 }
 
 // TestCMKillRestartSnapshotMonotonicity kills the primary commit manager
@@ -200,14 +179,14 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 	transfersAfterKill := 0
 	midRunRegressions := 0
 
-	e.driver.Go("cmchaos", func(ctx env.Ctx) {
-		table, err := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
+	e.Driver.Go("cmchaos", func(ctx env.Ctx) {
+		table, err := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
 		if err != nil {
 			t.Error(err)
-			e.k.Stop()
+			e.K.Stop()
 			return
 		}
-		setup, _ := e.pns[0].Begin(ctx)
+		setup, _ := e.PNs[0].Begin(ctx)
 		for i := int64(0); i < nAcc; i++ {
 			rid, _ := setup.Insert(ctx, table, account(i, "a", 100))
 			rids = append(rids, rid)
@@ -215,8 +194,8 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 		mustCommit(t, ctx, setup)
 
 		for w := 0; w < workers; w++ {
-			pn := e.pns[w%len(e.pns)]
-			e.driver.Go("worker", func(ctx env.Ctx) {
+			pn := e.PNs[w%len(e.PNs)]
+			e.Driver.Go("worker", func(ctx env.Ctx) {
 				defer func() { finished++ }()
 				tbl, _ := pn.Catalog().OpenTable(ctx, "accounts")
 				rng := ctx.Rand()
@@ -257,11 +236,11 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 		// detect the death and recover lost finish facts from the txlog;
 		// after the restart the stale manager rejoins the state merge (its
 		// fenced tid range keeps it from committing anything unsafe).
-		e.driver.Go("killer", func(ctx env.Ctx) {
+		e.Driver.Go("killer", func(ctx env.Ctx) {
 			ctx.Sleep(killAt)
-			e.net.SetDown("cm0", true)
+			e.Net.SetDown("cm0", true)
 			ctx.Sleep(restartAt - killAt)
-			e.net.SetDown("cm0", false)
+			e.Net.SetDown("cm0", false)
 		})
 
 		// Monitor: sample snapshots throughout the run. A committed tid seen
@@ -269,9 +248,9 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 		// (the survivor has not yet swept the txlog); count those, but they
 		// must all heal by the final checks below.
 		observed := make(map[uint64]bool)
-		e.driver.Go("monitor", func(ctx env.Ctx) {
+		e.Driver.Go("monitor", func(ctx env.Ctx) {
 			for finished < workers {
-				txn, err := e.pns[0].Begin(ctx)
+				txn, err := e.PNs[0].Begin(ctx)
 				if err != nil {
 					ctx.Sleep(2 * time.Millisecond)
 					continue
@@ -292,7 +271,7 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 			}
 		})
 
-		e.driver.Go("verify", func(ctx env.Ctx) {
+		e.Driver.Go("verify", func(ctx env.Ctx) {
 			for finished < workers {
 				ctx.Sleep(5 * time.Millisecond)
 			}
@@ -302,7 +281,7 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 			// acknowledged and grow monotonically from sample to sample.
 			var prev *mvcc.Snapshot
 			for sample := 0; sample < 5; sample++ {
-				txn, err := e.pns[0].Begin(ctx)
+				txn, err := e.PNs[0].Begin(ctx)
 				if err != nil {
 					t.Errorf("sample %d: begin after failover: %v", sample, err)
 					break
@@ -325,7 +304,7 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 			var total int64
 			scanned := false
 			for attempt := 0; attempt < 10 && !scanned; attempt++ {
-				txn, err := e.pns[0].Begin(ctx)
+				txn, err := e.PNs[0].Begin(ctx)
 				if err != nil {
 					ctx.Sleep(10 * time.Millisecond)
 					continue
@@ -348,14 +327,14 @@ func TestCMKillRestartSnapshotMonotonicity(t *testing.T) {
 			}
 			t.Logf("seed=%d committed=%d afterKill=%d transientRegressions=%d",
 				seed, len(committedTids), transfersAfterKill, midRunRegressions)
-			e.k.Stop()
+			e.K.Stop()
 		})
 	})
-	if err := e.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := e.K.RunUntil(sim.Time(3000 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if finished != workers {
 		t.Fatalf("only %d/%d workers finished", finished, workers)
 	}
-	e.k.Shutdown()
+	e.K.Shutdown()
 }

@@ -1,12 +1,11 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/relational"
 	"tell/internal/sim"
@@ -17,15 +16,7 @@ import (
 
 // engine is a full simulated Tell deployment: store cluster, one commit
 // manager, and N processing nodes.
-type engine struct {
-	k       *sim.Kernel
-	envr    env.Full
-	net     *transport.SimNet
-	cluster *store.Cluster
-	cm      *commitmgr.Server
-	pns     []*core.PN
-	driver  env.Node
-}
+type engine struct{ *deploy.Sim }
 
 func newEngine(t *testing.T, nPNs int, buffer core.BufferStrategy) *engine {
 	return newEngineRF(t, nPNs, buffer, 1)
@@ -34,45 +25,27 @@ func newEngine(t *testing.T, nPNs int, buffer core.BufferStrategy) *engine {
 // newEngineRF builds the deployment with an explicit replication factor.
 func newEngineRF(t *testing.T, nPNs int, buffer core.BufferStrategy, rf int) *engine {
 	t.Helper()
-	k := sim.NewKernel(testutil.Seed(t, 21))
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, transport.InfiniBand())
-	cl, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 3, ReplicationFactor: rf})
+	s := deploy.NewSim(testutil.Seed(t, 21), transport.InfiniBand())
+	err := s.Build(deploy.Spec{
+		Storage: store.ClusterConfig{NumNodes: 3, ReplicationFactor: rf},
+		CMs:     1,
+		PNs:     nPNs,
+		PN:      core.Config{Buffer: buffer},
+	})
+	if err == nil {
+		err = s.Start()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmNode := envr.NewNode("cm0", 2)
-	cm := commitmgr.New("cm0", "cm0", envr, cmNode, net, cl.NewClient(cmNode))
-	if err := cm.Start(); err != nil {
-		t.Fatal(err)
-	}
-	e := &engine{k: k, envr: envr, net: net, cluster: cl, cm: cm}
-	for i := 0; i < nPNs; i++ {
-		name := fmt.Sprintf("pn%d", i)
-		node := envr.NewNode(name, 4)
-		pn := core.New(core.Config{ID: name, Buffer: buffer}, envr, node, net,
-			cl.NewClient(node), commitmgr.NewClient(envr, node, net, []string{"cm0"}))
-		e.pns = append(e.pns, pn)
-	}
-	e.driver = envr.NewNode("driver", 4)
-	return e
+	return &engine{s}
 }
 
 func (e *engine) run(t *testing.T, fn func(ctx env.Ctx)) {
 	t.Helper()
-	done := false
-	e.driver.Go("test", func(ctx env.Ctx) {
-		defer e.k.Stop() // also fires on t.Fatalf's Goexit
-		fn(ctx)
-		done = true
-	})
-	if err := e.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := e.Run(3000*time.Second, fn); err != nil {
 		t.Fatal(err)
 	}
-	if !done {
-		t.Fatal("test activity did not finish")
-	}
-	e.k.Shutdown()
 }
 
 // accountsSchema is a tiny bank table used by many tests.
@@ -104,11 +77,11 @@ func mustCommit(t *testing.T, ctx env.Ctx, txn *core.Txn) {
 func TestInsertCommitReadBack(t *testing.T) {
 	e := newEngine(t, 2, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		table, err := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
+		table, err := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		txn, err := e.pns[0].Begin(ctx)
+		txn, err := e.PNs[0].Begin(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +97,8 @@ func TestInsertCommitReadBack(t *testing.T) {
 		mustCommit(t, ctx, txn)
 
 		// Visible from ANOTHER PN: shared data, no ownership (§2.1).
-		t2, _ := e.pns[1].Catalog().OpenTable(ctx, "accounts")
-		txn2, _ := e.pns[1].Begin(ctx)
+		t2, _ := e.PNs[1].Catalog().OpenTable(ctx, "accounts")
+		txn2, _ := e.PNs[1].Begin(ctx)
 		gotRid, row, found, err := txn2.LookupPK(ctx, t2, relational.I64(1))
 		if err != nil || !found || gotRid != rid || row[1].S != "alice" {
 			t.Fatalf("cross-PN read: rid=%d row=%v found=%v err=%v", gotRid, row, found, err)
@@ -137,7 +110,7 @@ func TestInsertCommitReadBack(t *testing.T) {
 func TestSnapshotIsolationInvisibility(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "alice", 100))
@@ -171,7 +144,7 @@ func TestSnapshotIsolationInvisibility(t *testing.T) {
 func TestRepeatableReads(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "a", 1))
@@ -193,15 +166,15 @@ func TestRepeatableReads(t *testing.T) {
 func TestWriteWriteConflictAborts(t *testing.T) {
 	e := newEngine(t, 2, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		table, _ := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
-		setup, _ := e.pns[0].Begin(ctx)
+		table, _ := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
+		setup, _ := e.PNs[0].Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "a", 10))
 		mustCommit(t, ctx, setup)
-		t2, _ := e.pns[1].Catalog().OpenTable(ctx, "accounts")
+		t2, _ := e.PNs[1].Catalog().OpenTable(ctx, "accounts")
 
 		// Two transactions on different PNs update the same record.
-		txA, _ := e.pns[0].Begin(ctx)
-		txB, _ := e.pns[1].Begin(ctx)
+		txA, _ := e.PNs[0].Begin(ctx)
+		txB, _ := e.PNs[1].Begin(ctx)
 		txA.Update(ctx, table, rid, account(1, "a", 11))
 		txB.Update(ctx, t2, rid, account(1, "a", 22))
 		if err := txA.Commit(ctx); err != nil {
@@ -211,7 +184,7 @@ func TestWriteWriteConflictAborts(t *testing.T) {
 			t.Fatalf("second committer must get ErrConflict, got %v", err)
 		}
 		// State reflects only A.
-		check, _ := e.pns[0].Begin(ctx)
+		check, _ := e.PNs[0].Begin(ctx)
 		row, _, _ := check.Read(ctx, table, rid)
 		if row[2].I != 11 {
 			t.Fatalf("balance = %d, want 11", row[2].I)
@@ -223,7 +196,7 @@ func TestWriteWriteConflictAborts(t *testing.T) {
 func TestConflictRollbackLeavesNoTrace(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid1, _ := setup.Insert(ctx, table, account(1, "a", 1))
@@ -257,7 +230,7 @@ func TestConflictRollbackLeavesNoTrace(t *testing.T) {
 func TestManualAbort(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		txn, _ := pn.Begin(ctx)
 		txn.Insert(ctx, table, account(1, "ghost", 0))
@@ -279,7 +252,7 @@ func TestManualAbort(t *testing.T) {
 func TestDeleteVisibility(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "a", 1))
@@ -313,7 +286,7 @@ func TestDeleteVisibility(t *testing.T) {
 func TestSecondaryIndexVersionUnaware(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "alice", 1))
@@ -371,7 +344,7 @@ func TestSecondaryIndexVersionUnaware(t *testing.T) {
 func TestIndexEntryGCOnRead(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "alice", 1))
@@ -416,7 +389,7 @@ func TestIndexEntryGCOnRead(t *testing.T) {
 func TestEagerGCBoundsVersionGrowth(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "a", 0))
@@ -451,7 +424,7 @@ func TestEagerGCBoundsVersionGrowth(t *testing.T) {
 func TestLazyGCPass(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		var rids []uint64
@@ -503,17 +476,17 @@ func TestLazyGCPass(t *testing.T) {
 func TestDuplicatePrimaryKeyRejected(t *testing.T) {
 	e := newEngine(t, 2, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		table, _ := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
-		t2, _ := e.pns[1].Catalog().OpenTable(ctx, "accounts")
-		txn, _ := e.pns[0].Begin(ctx)
+		table, _ := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
+		t2, _ := e.PNs[1].Catalog().OpenTable(ctx, "accounts")
+		txn, _ := e.PNs[0].Begin(ctx)
 		txn.Insert(ctx, table, account(7, "first", 0))
 		mustCommit(t, ctx, txn)
-		dup, _ := e.pns[1].Begin(ctx)
+		dup, _ := e.PNs[1].Begin(ctx)
 		dup.Insert(ctx, t2, account(7, "second", 0))
 		if err := dup.Commit(ctx); err != core.ErrDuplicateKey {
 			t.Fatalf("want ErrDuplicateKey, got %v", err)
 		}
-		check, _ := e.pns[0].Begin(ctx)
+		check, _ := e.PNs[0].Begin(ctx)
 		_, row, found, _ := check.LookupPK(ctx, table, relational.I64(7))
 		if !found || row[1].S != "first" {
 			t.Fatalf("winner: %v %v", row, found)
@@ -532,14 +505,14 @@ func TestBankTransfersPreserveTotal(t *testing.T) {
 			const nAcc, nWorkers, nTransfers = 10, 6, 30
 			finished := 0
 			var rids []uint64
-			e.driver.Go("setup", func(ctx env.Ctx) {
-				table, err := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
+			e.Driver.Go("setup", func(ctx env.Ctx) {
+				table, err := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
 				if err != nil {
 					t.Error(err)
-					e.k.Stop()
+					e.K.Stop()
 					return
 				}
-				setup, _ := e.pns[0].Begin(ctx)
+				setup, _ := e.PNs[0].Begin(ctx)
 				for i := int64(0); i < nAcc; i++ {
 					rid, _ := setup.Insert(ctx, table, account(i, "acct", 100))
 					rids = append(rids, rid)
@@ -547,8 +520,8 @@ func TestBankTransfersPreserveTotal(t *testing.T) {
 				mustCommit(t, ctx, setup)
 				for w := 0; w < nWorkers; w++ {
 					w := w
-					pn := e.pns[w%len(e.pns)]
-					e.driver.Go("worker", func(ctx env.Ctx) {
+					pn := e.PNs[w%len(e.PNs)]
+					e.Driver.Go("worker", func(ctx env.Ctx) {
 						tbl, _ := pn.Catalog().OpenTable(ctx, "accounts")
 						rng := ctx.Rand()
 						for i := 0; i < nTransfers; i++ {
@@ -594,18 +567,18 @@ func TestBankTransfersPreserveTotal(t *testing.T) {
 								t.Errorf("total = %d, want %d", total, nAcc*100)
 							}
 							check.Commit(ctx)
-							e.k.Stop()
+							e.K.Stop()
 						}
 					})
 				}
 			})
-			if err := e.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+			if err := e.K.RunUntil(sim.Time(3000 * time.Second)); err != nil {
 				t.Fatal(err)
 			}
 			if finished != nWorkers {
 				t.Fatalf("only %d workers finished", finished)
 			}
-			e.k.Shutdown()
+			e.K.Shutdown()
 		})
 	}
 }
@@ -616,14 +589,14 @@ func TestBufferStrategiesSeeConsistentData(t *testing.T) {
 		t.Run(buf.String(), func(t *testing.T) {
 			e := newEngine(t, 2, buf)
 			e.run(t, func(ctx env.Ctx) {
-				table, _ := e.pns[0].Catalog().CreateTable(ctx, accountsSchema())
-				t2, _ := e.pns[1].Catalog().OpenTable(ctx, "accounts")
-				setup, _ := e.pns[0].Begin(ctx)
+				table, _ := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
+				t2, _ := e.PNs[1].Catalog().OpenTable(ctx, "accounts")
+				setup, _ := e.PNs[0].Begin(ctx)
 				rid, _ := setup.Insert(ctx, table, account(1, "a", 1))
 				mustCommit(t, ctx, setup)
 
 				// PN1 caches the record.
-				r1, _ := e.pns[1].Begin(ctx)
+				r1, _ := e.PNs[1].Begin(ctx)
 				row, _, _ := r1.Read(ctx, t2, rid)
 				if row[2].I != 1 {
 					t.Fatalf("initial read: %v", row)
@@ -631,13 +604,13 @@ func TestBufferStrategiesSeeConsistentData(t *testing.T) {
 				mustCommit(t, ctx, r1)
 
 				// PN0 updates it remotely.
-				u, _ := e.pns[0].Begin(ctx)
+				u, _ := e.PNs[0].Begin(ctx)
 				u.Update(ctx, table, rid, account(1, "a", 2))
 				mustCommit(t, ctx, u)
 
 				// A NEW transaction on PN1 must see the update even
 				// though the record sits in PN1's shared buffer.
-				r2, _ := e.pns[1].Begin(ctx)
+				r2, _ := e.PNs[1].Begin(ctx)
 				row, _, _ = r2.Read(ctx, t2, rid)
 				if row[2].I != 2 {
 					t.Fatalf("%v buffer served stale data: %v", buf, row)
@@ -651,7 +624,7 @@ func TestBufferStrategiesSeeConsistentData(t *testing.T) {
 func TestSharedBufferProducesHits(t *testing.T) {
 	e := newEngine(t, 1, core.SB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "a", 1))
@@ -672,7 +645,7 @@ func TestSharedBufferProducesHits(t *testing.T) {
 func TestScanTableSnapshotConsistent(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		for i := int64(0); i < 15; i++ {
@@ -705,7 +678,7 @@ func TestWriteSkewIsAllowed(t *testing.T) {
 	// guarantee serializability"). This documents the behaviour.
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		r1, _ := setup.Insert(ctx, table, account(1, "x", 50))
@@ -734,7 +707,7 @@ func TestWriteSkewIsAllowed(t *testing.T) {
 func TestReadOnlyTransactionCheap(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		setup, _ := pn.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, account(1, "a", 1))
@@ -755,7 +728,7 @@ func TestReadOnlyTransactionCheap(t *testing.T) {
 func TestDeleteOwnInsertWithinTransaction(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		txn, _ := pn.Begin(ctx)
 		rid, _ := txn.Insert(ctx, table, account(1, "ephemeral", 0))
@@ -782,7 +755,7 @@ func TestDeleteOwnInsertWithinTransaction(t *testing.T) {
 func TestUpdateOwnInsertWithinTransaction(t *testing.T) {
 	e := newEngine(t, 1, core.TB)
 	e.run(t, func(ctx env.Ctx) {
-		pn := e.pns[0]
+		pn := e.PNs[0]
 		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
 		txn, _ := pn.Begin(ctx)
 		rid, _ := txn.Insert(ctx, table, account(5, "v1", 0))

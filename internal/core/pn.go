@@ -282,16 +282,3 @@ func (pn *PN) allocRid(ctx env.Ctx, tableID uint32) (uint64, error) {
 	pn.mu.Unlock()
 	return rid, nil
 }
-
-// BumpRidCounter advances a table's rid counter after bulk loading (the
-// loader hands out rids itself).
-func BumpRidCounter(ctx env.Ctx, sc *store.Client, tableID uint32, to uint64) error {
-	cur, err := sc.CounterAdd(ctx, relational.RidCounterKey(tableID), 0)
-	if err != nil {
-		return err
-	}
-	if uint64(cur) < to {
-		_, err = sc.CounterAdd(ctx, relational.RidCounterKey(tableID), int64(to-uint64(cur)))
-	}
-	return err
-}

@@ -455,11 +455,16 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 		sc.R.Instant(sc.Span, t.pn.node.Name(), "validate", int64(t.tid), int64(len(ops)))
 	}
 	results, err := t.pn.sc.Exec(ctx, ops)
+	applied := make([]int, 0, len(ops))
 	if err != nil {
-		t.abortConflict(ctx, sc, nil, AbortError) // nothing known applied; best effort
+		// Outcome unknown for every write: any of them may have applied.
+		// Rolling back a version that is not there is a no-op.
+		for i := range ops {
+			applied = append(applied, i)
+		}
+		t.abortConflict(ctx, sc, applied, AbortError)
 		return err
 	}
-	applied := make([]int, 0, len(results))
 	conflict := false
 	for i, res := range results {
 		switch res.Status {
@@ -480,6 +485,10 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 				conflict = true
 			}
 		default:
+			// Neither applied nor refused (the partition failed over or
+			// the response was lost): the write may be in the store, so it
+			// is rolled back with the applied ones.
+			applied = append(applied, i)
 			conflict = true
 		}
 	}
@@ -575,10 +584,19 @@ func (t *Txn) abortConflict(ctx env.Ctx, sc *trace.Scope, applied []int, reason 
 
 // rollbackApplied reverts the applied subset of this transaction's updates:
 // the version with number tid is removed from each record (§4.3 step 4b).
+// Once the abort is reported the tid enters every later snapshot, so a
+// version that outlives it would be read as committed data; a rollback that
+// hits a storage fail-over is therefore retried until the partition is back
+// (for up to 1 s per transaction — a fail-over takes a few failure-detector
+// rounds).
 func (t *Txn) rollbackApplied(ctx env.Ctx, applied []int) {
+	retries := 0
 	for _, i := range applied {
 		w := t.writes[t.order[i]]
-		RollbackVersion(ctx, t.pn.sc, w.key, t.tid)
+		for txlog.RollbackVersion(ctx, t.pn.sc, w.key, t.tid) != nil && retries < 100 {
+			retries++
+			ctx.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 
@@ -602,41 +620,6 @@ func (t *Txn) ownVersionApplied(ctx env.Ctx, ks string) bool {
 	}
 	w.baseStmp = stamp
 	return true
-}
-
-// RollbackVersion removes version tid from the record at key, deleting the
-// record entirely when no versions remain. It retries through interference
-// and is shared with the recovery process (§4.4.1).
-func RollbackVersion(ctx env.Ctx, sc *store.Client, key []byte, tid uint64) error {
-	for attempt := 0; attempt < 64; attempt++ {
-		raw, stamp, err := sc.Get(ctx, key)
-		if err == store.ErrNotFound {
-			return nil // already gone
-		}
-		if err != nil {
-			return err
-		}
-		rec, err := mvcc.Decode(raw)
-		if err != nil {
-			return err
-		}
-		pruned, nonEmpty := rec.WithoutVersion(tid)
-		if len(pruned.Versions) == len(rec.Versions) {
-			return nil // version not present (already rolled back)
-		}
-		if nonEmpty {
-			_, err = sc.CondPut(ctx, key, pruned.Encode(), stamp)
-		} else {
-			err = sc.Delete(ctx, key, stamp)
-		}
-		if err == nil {
-			return nil
-		}
-		if err != store.ErrConflict {
-			return err
-		}
-	}
-	return fmt.Errorf("core: rollback of %q tid %d exhausted retries", key, tid)
 }
 
 // maintainIndexes inserts the index entries required by this transaction's

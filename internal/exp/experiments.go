@@ -406,11 +406,10 @@ func AblationCoalesce(opt Options) (*Table, error) {
 	base := TellParams{PNs: 4, SNs: 5, CMs: 2, BatchWindow: win}
 	steps := []step{
 		{"all off (split CM, greedy batch)", TellParams{PNs: 4, SNs: 5, CMs: 2,
-			NoCMCoalesce: true, NoDeltaSnapshots: true, NoAdaptiveBatch: true}},
+			NoCMCoalesce: true, NoDeltaSnapshots: true}},
 		{"+grouped CM ops", TellParams{PNs: 4, SNs: 5, CMs: 2,
-			NoDeltaSnapshots: true, NoAdaptiveBatch: true}},
-		{"+delta snapshots", TellParams{PNs: 4, SNs: 5, CMs: 2,
-			NoAdaptiveBatch: true}},
+			NoDeltaSnapshots: true}},
+		{"+delta snapshots", TellParams{PNs: 4, SNs: 5, CMs: 2}},
 		{"+adaptive batching (all on)", base},
 	}
 	for _, s := range steps {

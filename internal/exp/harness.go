@@ -11,8 +11,8 @@ import (
 
 	"tell/internal/baseline"
 	"tell/internal/chaos"
-	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/durable"
 	"tell/internal/env"
 	"tell/internal/fdblike"
@@ -114,7 +114,6 @@ type TellParams struct {
 	CacheUnitSize     int
 	Mix               tpcc.Mix
 	SyncInterval      time.Duration
-	Batching          bool // default true (set NoBatching to disable)
 	NoBatching        bool
 	NoIndexCache      bool
 	TidRange          int64
@@ -124,10 +123,8 @@ type TellParams struct {
 	// BatchWindow sets the store client's adaptive batching window (how
 	// long a sender may linger to widen a batch under load). 0 batches
 	// greedily — the client's nonzero default targets real kernel-TCP
-	// links, not the simulated fabrics; NoAdaptiveBatch forces greedy
-	// draining regardless.
-	BatchWindow     time.Duration
-	NoAdaptiveBatch bool
+	// links, not the simulated fabrics.
+	BatchWindow time.Duration
 	// NoCMCoalesce reverts the commit-manager client to the split
 	// protocol: one start RPC and one finished RPC per transaction.
 	NoCMCoalesce bool
@@ -180,7 +177,7 @@ func (p *TellParams) defaults() {
 // Figures 8 and 9 (PN and SN processes get 4 cores — one NUMA unit of the
 // paper's servers — commit managers 2, the management node 2).
 func (p TellParams) Cores() int {
-	return p.PNs*4 + p.SNs*4 + p.CMs*2 + 2
+	return p.PNs*deploy.PNCores + p.SNs*4 + p.CMs*deploy.CMCores + 2
 }
 
 // TellRun is the outcome of one Tell deployment run.
@@ -232,8 +229,8 @@ type TellRun struct {
 func RunTell(opt Options, p TellParams) (*TellRun, error) {
 	opt.Defaults()
 	p.defaults()
-	k := sim.NewKernel(opt.Seed)
-	envr := env.NewSim(k)
+	s := deploy.NewSim(opt.Seed, p.Network)
+	envr, net := s.Env, s.Net
 	var rec *trace.Recorder
 	if opt.Trace {
 		// Install before any node exists so every activity sees the
@@ -260,14 +257,24 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		}
 		tracer.SetTap(pipe.Flight())
 	}
-	net := transport.NewSimNet(k, p.Network)
 	if p.NetTimeout > 0 {
 		net.SetTimeout(p.NetTimeout)
 	}
 
-	clusterCfg := store.ClusterConfig{
-		NumNodes:          p.SNs,
-		ReplicationFactor: p.ReplicationFactor,
+	spec := deploy.Spec{
+		Storage: store.ClusterConfig{
+			NumNodes:          p.SNs,
+			ReplicationFactor: p.ReplicationFactor,
+		},
+		CMs: p.CMs,
+		PNs: p.PNs,
+		PN: core.Config{
+			Workers:         p.Workers,
+			Buffer:          p.Buffer,
+			CacheUnitSize:   p.CacheUnitSize,
+			CacheIndexInner: !p.NoIndexCache,
+		},
+		Obs: pipe,
 	}
 	switch opt.Durable {
 	case "":
@@ -276,7 +283,7 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		if opt.Durable == "s3" {
 			prof = durable.S3Profile()
 		}
-		clusterCfg.Durable = &store.DurOptions{
+		spec.Storage.Durable = &store.DurOptions{
 			Backend:         durable.NewBlob(prof),
 			SegmentBytes:    256 << 10,
 			CheckpointBytes: 8 << 20,
@@ -284,30 +291,21 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 	default:
 		return nil, fmt.Errorf("exp: unknown durable backend %q (want mem or s3)", opt.Durable)
 	}
-	cluster, err := store.NewCluster(envr, net, clusterCfg)
-	if err != nil {
+	if err := s.Build(spec); err != nil {
 		return nil, err
 	}
+	cluster := s.Storage
 	if _, err := tpcc.Load(cluster, opt.tpccConfig()); err != nil {
 		return nil, err
 	}
-	if pipe != nil {
-		// Attach after the bulk load so the heatmap reflects the workload,
-		// not the loader's write storm.
-		for _, addr := range cluster.Addrs() {
-			cluster.Node(addr).SetObs(pipe)
+	for _, sn := range cluster.Nodes {
+		if p.Admission > 0 {
+			sn.SetAdmission(p.Admission, time.Millisecond)
 		}
-	}
-	if p.Admission > 0 {
-		for _, addr := range cluster.Addrs() {
-			cluster.Node(addr).SetAdmission(p.Admission, time.Millisecond)
-		}
-	}
-	if p.NetTimeout > 0 {
-		// Scale backoffs with the tightened timeout everywhere, including
-		// the storage nodes' synchronous replication shipping.
-		for _, addr := range cluster.Addrs() {
-			cluster.Node(addr).SetRetryPolicies(resil.FastPolicies(p.NetTimeout))
+		if p.NetTimeout > 0 {
+			// Scale backoffs with the tightened timeout everywhere,
+			// including the storage nodes' synchronous replication shipping.
+			sn.SetRetryPolicies(resil.FastPolicies(p.NetTimeout))
 		}
 	}
 	// Fault injection goes in after loading (the workload, not the bulk
@@ -318,7 +316,7 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 	var inj *chaos.Injector
 	var hist *histcheck.History
 	if p.DropProb > 0 || p.DupProb > 0 || p.DelayProb > 0 {
-		inj = chaos.Install(k, net, chaos.Plan{
+		inj = chaos.Install(s.K, net, chaos.Plan{
 			Name: "resilience-faults",
 			Msg: []chaos.MessageFaults{{
 				DropProb:  p.DropProb,
@@ -330,38 +328,15 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		hist = histcheck.New()
 	}
 
-	// Commit managers.
-	var cmIDs, cmAddrs []string
-	var cms []*commitmgr.Server
-	for i := 0; i < p.CMs; i++ {
-		cmIDs = append(cmIDs, fmt.Sprintf("cm%d", i))
-	}
-	for i := 0; i < p.CMs; i++ {
-		addr := cmIDs[i]
-		node := envr.NewNode(addr, 2)
-		cm := commitmgr.New(addr, addr, envr, node, net, cluster.NewClient(node))
-		cm.Peers = cmIDs
+	for _, cm := range s.CMs {
 		cm.SyncInterval = p.SyncInterval
 		cm.Interleaved = p.InterleavedTids
 		if p.TidRange > 0 {
 			cm.TidRange = p.TidRange
 		}
-		cm.SetObs(pipe)
-		if err := cm.Start(); err != nil {
-			return nil, err
-		}
-		cms = append(cms, cm)
-		cmAddrs = append(cmAddrs, addr)
 	}
-
-	// Processing nodes.
-	var pns []*core.PN
-	var clients []*store.Client
-	var cmClients []*commitmgr.Client
-	for i := 0; i < p.PNs; i++ {
-		name := fmt.Sprintf("pn%d", i)
-		node := envr.NewNode(name, 4)
-		sc := cluster.NewClient(node)
+	for i, pn := range s.PNs {
+		sc, cmc := s.StoreClients[i], s.CMClients[i]
 		if p.NoBatching {
 			sc.SetBatching(false)
 		}
@@ -372,52 +347,31 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		// cost), so the harness batches greedily unless the experiment
 		// sets a window (ablation-coalesce sweeps it).
 		sc.BatchWindow = p.BatchWindow
-		if p.NoAdaptiveBatch {
-			sc.BatchWindow = 0
-		}
-		// Each PN talks primarily to "its" commit manager, spreading CM
-		// load, with the rest as fail-over targets.
-		order := append([]string{cmAddrs[i%len(cmAddrs)]}, cmAddrs...)
-		cmc := commitmgr.NewClient(envr, node, net, order)
 		if p.NetTimeout > 0 {
 			sc.Resil.Policies = resil.FastPolicies(p.NetTimeout)
 			cmc.Resil.Policies = resil.FastPolicies(p.NetTimeout)
 		}
 		cmc.Coalesce = !p.NoCMCoalesce
 		cmc.DeltaSnapshots = !p.NoDeltaSnapshots
-		pn := core.New(core.Config{
-			ID:              name,
-			Workers:         p.Workers,
-			Buffer:          p.Buffer,
-			CacheUnitSize:   p.CacheUnitSize,
-			CacheIndexInner: !p.NoIndexCache,
-		}, envr, node, net, sc, cmc)
 		if hist != nil {
 			pn.SetRecorder(hist)
 		}
+	}
+	if err := s.Start(); err != nil {
+		return nil, err
+	}
+	// Workers spawn after the commit managers' processes: the spawn-order
+	// contract of internal/deploy.
+	for _, pn := range s.PNs {
 		pn.StartWorkers()
-		pns = append(pns, pn)
-		clients = append(clients, sc)
-		cmClients = append(cmClients, cmc)
 	}
 
-	// Terminals.
-	driverNode := envr.NewNode("terminals", 4)
 	terminals := p.PNs * p.Workers * opt.TerminalsPerWorker
-	var engines []tpcc.Engine
 	var res *tpcc.Result
 	var runErr error
-	driverNode.Go("driver", func(ctx env.Ctx) {
-		defer k.Stop()
-		// The bulk load bypasses the WAL; checkpoint it so durable runs
-		// start from a recoverable base, as a real deployment would.
-		if clusterCfg.Durable != nil {
-			if err := cluster.CheckpointAll(ctx); err != nil {
-				runErr = err
-				return
-			}
-		}
-		for _, pn := range pns {
+	err := s.Run(6*time.Hour, func(ctx env.Ctx) {
+		var engines []tpcc.Engine
+		for _, pn := range s.PNs {
 			eng, err := tpcc.NewTellEngine(ctx, pn)
 			if err != nil {
 				runErr = err
@@ -427,35 +381,30 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		}
 		drv := tpcc.NewDriver(opt.tpccConfig(), p.Mix, engines, terminals, opt.Seed)
 		drv.Obs = pipe
-		res = drv.Run(ctx, envr, driverNode, opt.Warmup, opt.Measure)
+		res = drv.Run(ctx, envr, s.Driver, opt.Warmup, opt.Measure)
 		// Close any still-open windows at the virtual end-of-run so every
 		// exporter sees the same final state.
 		pipe.Sync(ctx.Now())
 	})
-	if err := k.RunUntil(sim.Time(6 * time.Hour)); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	k.Shutdown()
 	if runErr != nil {
 		return nil, runErr
 	}
-	if res == nil {
-		return nil, fmt.Errorf("exp: run did not complete within the virtual deadline")
-	}
-
 	out := &TellRun{Result: res, AbortRate: res.AbortRate(), Trace: rec, Obs: pipe}
 	st := net.Stats()
 	out.NetRequests = st.Requests
 	out.NetBytes = st.BytesSent + st.BytesRecv
 	var ops, batches uint64
-	for _, sc := range clients {
+	for _, sc := range s.StoreClients {
 		ops += sc.Ops()
 		batches += sc.Batches()
 	}
 	if batches > 0 {
 		out.BatchFactor = float64(ops) / float64(batches)
 	}
-	for _, cmc := range cmClients {
+	for _, cmc := range s.CMClients {
 		out.CMMsgs += cmc.Msgs()
 	}
 	if committed := res.TotalCommitted(); committed > 0 {
@@ -466,10 +415,10 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 	// Resilience counters: merge every client-side retry schedule into one
 	// fleet-level digest, and sum server-side shed/replay counts.
 	var retriers []*resil.Retrier
-	for _, sc := range clients {
+	for _, sc := range s.StoreClients {
 		retriers = append(retriers, sc.Resil)
 	}
-	for _, cmc := range cmClients {
+	for _, cmc := range s.CMClients {
 		retriers = append(retriers, cmc.Resil)
 	}
 	out.RetryHash, out.Retries = resil.MergeSchedule(retriers)
@@ -478,7 +427,7 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		out.Sheds += sn.Sheds()
 		out.Replays += sn.Replays()
 	}
-	for _, cm := range cms {
+	for _, cm := range s.CMs {
 		out.Sheds += cm.Sheds()
 		out.Replays += cm.Replays()
 	}

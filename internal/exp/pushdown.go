@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"tell/internal/commitmgr"
-	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/relational"
-	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/tpcc"
 	"tell/internal/transport"
@@ -26,28 +24,22 @@ func ExtPushdown(opt Options) (*Table, error) {
 		Title:  "Extension (§5.2): push-down selection/projection for analytics",
 		Header: []string{"strategy", "rows returned", "MB moved", "query time"},
 	}
-	k := sim.NewKernel(opt.Seed)
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, transport.InfiniBand())
-	cluster, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 3})
-	if err != nil {
+	s := deploy.NewSim(opt.Seed, transport.InfiniBand())
+	if err := s.Build(deploy.Spec{Storage: store.ClusterConfig{NumNodes: 3}, CMs: 1}); err != nil {
 		return nil, err
 	}
-	if _, err := tpcc.Load(cluster, opt.tpccConfig()); err != nil {
+	if _, err := tpcc.Load(s.Storage, opt.tpccConfig()); err != nil {
 		return nil, err
 	}
-	cmNode := envr.NewNode("cm0", 2)
-	cm := commitmgr.New("cm0", "cm0", envr, cmNode, net, cluster.NewClient(cmNode))
-	if err := cm.Start(); err != nil {
+	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	pnNode := envr.NewNode("olap", 4)
-	pn := core.New(core.Config{ID: "olap"}, envr, pnNode, net,
-		cluster.NewClient(pnNode), commitmgr.NewClient(envr, pnNode, net, []string{"cm0"}))
+	// Analytics runs on a dedicated PN (the paper's mixed-workload scenario).
+	pn := s.AddPN("olap")
+	net := s.Net
 
 	var tblErr error
-	pnNode.Go("query", func(ctx env.Ctx) {
-		defer k.Stop()
+	err := s.Run(time.Hour, func(ctx env.Ctx) {
 		table, err := pn.Catalog().OpenTable(ctx, tpcc.TOrderLine)
 		if err != nil {
 			tblErr = err
@@ -100,10 +92,9 @@ func ExtPushdown(opt Options) (*Table, error) {
 			t.Note("identical results; push-down moved %.1f× fewer bytes", fullMB/pushMB)
 		}
 	})
-	if err := k.RunUntil(sim.Time(time.Hour)); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	k.Shutdown()
 	if tblErr != nil {
 		return nil, tblErr
 	}

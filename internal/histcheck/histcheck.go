@@ -327,13 +327,33 @@ func (h *History) Check() *Report {
 func (r *Report) add(a Anomaly) { r.Anomalies = append(r.Anomalies, a) }
 
 // CommittedState replays the committed history into the final row of every
-// key: per key, the write of the highest committed tid wins (versions are
-// totally ordered by tid, matching the MVCC record layout). Deleted keys
-// are absent. Tests use it for conservation invariants and to cross-check
-// the store's actual contents.
+// key. Under first-committer-wins the committed writes of a key form a chain
+// (each replaces the version its predecessor installed), and the final row is
+// the chain's tail: the write no other committed write replaced. Tid order
+// would not do — with several commit managers handing out disjoint tid
+// ranges, commit order does not follow tid order. When a lost update forks
+// the chain (Check reports it) the highest such tid wins. Deleted keys are
+// absent. Tests use it for conservation invariants and to cross-check the
+// store's actual contents.
 func (h *History) CommittedState() map[string]relational.Row {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	replaced := make(map[string]map[uint64]bool) // key → versions some committed write replaced
+	for tid, ws := range h.writes {
+		if h.status[tid] != 'c' {
+			continue
+		}
+		for _, w := range ws {
+			if w.Insert {
+				continue
+			}
+			k := string(w.Key)
+			if replaced[k] == nil {
+				replaced[k] = make(map[uint64]bool)
+			}
+			replaced[k][w.BaseVersion] = true
+		}
+	}
 	winner := make(map[string]uint64)
 	for tid, ws := range h.writes {
 		if h.status[tid] != 'c' {
@@ -341,6 +361,9 @@ func (h *History) CommittedState() map[string]relational.Row {
 		}
 		for _, w := range ws {
 			k := string(w.Key)
+			if replaced[k][tid] {
+				continue
+			}
 			if prev, ok := winner[k]; !ok || tid > prev {
 				winner[k] = tid
 			}

@@ -162,7 +162,8 @@ func TestDuplicateInsertDetected(t *testing.T) {
 	}
 }
 
-// TestCommittedState: highest committed tid wins per key; deletes remove;
+// TestCommittedState: the unreplaced committed write wins per key, whatever
+// its tid (a forked chain falls back to the highest tid); deletes remove;
 // uncommitted and aborted writes never surface.
 func TestCommittedState(t *testing.T) {
 	h := histcheck.New()
@@ -172,9 +173,16 @@ func TestCommittedState(t *testing.T) {
 	h.RecCommit(5, []core.WriteRec{{Key: []byte("b"), BaseVersion: 2, Row: nil}}) // delete b
 	h.RecBegin(6, snap(5))
 	h.RecAbort(6)
+	// Two commit managers with disjoint tid ranges: tid 7 commits after
+	// tid 300 and replaces its version.
+	h.RecCommit(300, []core.WriteRec{insert("c", 30)})
+	h.RecCommit(7, []core.WriteRec{write("c", 300, 31)})
 	state := h.CommittedState()
-	if len(state) != 1 {
+	if len(state) != 2 {
 		t.Fatalf("state: %v", state)
+	}
+	if got := state["c"][0].I; got != 31 {
+		t.Fatalf("c = %d, want 31 (commit order, not tid order)", got)
 	}
 	if got := state["a"][0].I; got != 11 {
 		t.Fatalf("a = %d, want 11", got)

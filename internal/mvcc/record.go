@@ -84,14 +84,6 @@ func (rec *Record) Visible(snap *Snapshot) (v *Version, ok bool) {
 	return nil, false
 }
 
-// Latest returns the most recently applied version.
-func (rec *Record) Latest() *Version {
-	if len(rec.Versions) == 0 {
-		return nil
-	}
-	return &rec.Versions[0]
-}
-
 // Get returns the version with exactly the given tid.
 func (rec *Record) Get(tid uint64) (*Version, bool) {
 	for i := range rec.Versions {

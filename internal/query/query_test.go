@@ -4,12 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/query"
 	"tell/internal/relational"
-	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
 	"tell/internal/transport"
@@ -17,47 +16,28 @@ import (
 
 // qRig is a small full stack for query tests.
 type qRig struct {
-	k      *sim.Kernel
-	envr   env.Full
-	pn     *core.PN
-	driver env.Node
+	*deploy.Sim
+	pn *core.PN
 }
 
 func newQRig(t *testing.T) *qRig {
 	t.Helper()
-	k := sim.NewKernel(testutil.Seed(t, 9))
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, transport.InfiniBand())
-	cl, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 2})
+	s := deploy.NewSim(testutil.Seed(t, 9), transport.InfiniBand())
+	err := s.Build(deploy.Spec{Storage: store.ClusterConfig{NumNodes: 2}, CMs: 1, PNs: 1})
+	if err == nil {
+		err = s.Start()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmNode := envr.NewNode("cm0", 2)
-	cm := commitmgr.New("cm0", "cm0", envr, cmNode, net, cl.NewClient(cmNode))
-	if err := cm.Start(); err != nil {
-		t.Fatal(err)
-	}
-	pnNode := envr.NewNode("pn0", 4)
-	pn := core.New(core.Config{ID: "pn0"}, envr, pnNode, net,
-		cl.NewClient(pnNode), commitmgr.NewClient(envr, pnNode, net, []string{"cm0"}))
-	return &qRig{k: k, envr: envr, pn: pn, driver: envr.NewNode("driver", 2)}
+	return &qRig{Sim: s, pn: s.PNs[0]}
 }
 
 func (r *qRig) run(t *testing.T, fn func(ctx env.Ctx)) {
 	t.Helper()
-	done := false
-	r.driver.Go("test", func(ctx env.Ctx) {
-		defer r.k.Stop()
-		fn(ctx)
-		done = true
-	})
-	if err := r.k.RunUntil(sim.Time(300 * time.Second)); err != nil {
+	if err := r.Run(300*time.Second, fn); err != nil {
 		t.Fatal(err)
 	}
-	if !done {
-		t.Fatal("did not finish")
-	}
-	r.k.Shutdown()
 }
 
 // salesSchema: region, product, qty, revenue.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"tell/internal/commitmgr"
-	"tell/internal/core"
 	"tell/internal/det"
 	"tell/internal/env"
 	"tell/internal/resil"
@@ -283,7 +282,7 @@ func (m *Manager) Recover(ctx env.Ctx, pnID string) (int, error) {
 			continue // it committed after we scanned: leave it alone
 		}
 		for _, key := range e.WriteSet {
-			if err := core.RollbackVersion(ctx, m.sc, key, e.TID); err != nil {
+			if err := txlog.RollbackVersion(ctx, m.sc, key, e.TID); err != nil {
 				return rolled, err
 			}
 		}

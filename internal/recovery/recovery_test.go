@@ -1,16 +1,15 @@
 package recovery_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/recovery"
 	"tell/internal/relational"
-	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
 	"tell/internal/transport"
@@ -18,65 +17,38 @@ import (
 )
 
 type rig struct {
-	k       *sim.Kernel
-	envr    env.Full
-	net     *transport.SimNet
-	cluster *store.Cluster
-	pns     []*core.PN
-	mgr     *recovery.Manager
-	driver  env.Node
+	*deploy.Sim
+	mgr *recovery.Manager
 }
 
 func newRig(t *testing.T, nPNs int) *rig {
 	t.Helper()
-	k := sim.NewKernel(testutil.Seed(t, 31))
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, transport.InfiniBand())
-	cl, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 3})
+	s := deploy.NewSim(testutil.Seed(t, 31), transport.InfiniBand())
+	err := s.Build(deploy.Spec{Storage: store.ClusterConfig{NumNodes: 3}, CMs: 1, PNs: nPNs})
+	if err == nil {
+		err = s.Start()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmNode := envr.NewNode("cm0", 2)
-	cm := commitmgr.New("cm0", "cm0", envr, cmNode, net, cl.NewClient(cmNode))
-	if err := cm.Start(); err != nil {
-		t.Fatal(err)
-	}
-	r := &rig{k: k, envr: envr, net: net, cluster: cl}
-	for i := 0; i < nPNs; i++ {
-		name := fmt.Sprintf("pn%d", i)
-		node := envr.NewNode(name, 4)
-		pn := core.New(core.Config{ID: name}, envr, node, net,
-			cl.NewClient(node), commitmgr.NewClient(envr, node, net, []string{"cm0"}))
-		if err := pn.Serve(net); err != nil {
+	mgmtNode := s.Env.NewNode("pn-mgmt", 2)
+	r := &rig{Sim: s}
+	r.mgr = recovery.NewManager(s.Env, mgmtNode, s.Net, s.Storage.NewClient(mgmtNode),
+		commitmgr.NewClient(s.Env, mgmtNode, s.Net, s.CMAddrs))
+	for _, pn := range s.PNs {
+		if err := pn.Serve(s.Net); err != nil {
 			t.Fatal(err)
 		}
-		r.pns = append(r.pns, pn)
+		r.mgr.Watch(pn.ID())
 	}
-	mgmtNode := envr.NewNode("pn-mgmt", 2)
-	r.mgr = recovery.NewManager(envr, mgmtNode, net, cl.NewClient(mgmtNode),
-		commitmgr.NewClient(envr, mgmtNode, net, []string{"cm0"}))
-	for i := 0; i < nPNs; i++ {
-		r.mgr.Watch(fmt.Sprintf("pn%d", i))
-	}
-	r.driver = envr.NewNode("driver", 2)
 	return r
 }
 
 func (r *rig) run(t *testing.T, fn func(ctx env.Ctx)) {
 	t.Helper()
-	done := false
-	r.driver.Go("test", func(ctx env.Ctx) {
-		defer r.k.Stop()
-		fn(ctx)
-		done = true
-	})
-	if err := r.k.RunUntil(sim.Time(3000 * time.Second)); err != nil {
+	if err := r.Run(3000*time.Second, fn); err != nil {
 		t.Fatal(err)
 	}
-	if !done {
-		t.Fatal("test activity did not finish")
-	}
-	r.k.Shutdown()
 }
 
 func schema() *relational.TableSchema {
@@ -119,7 +91,7 @@ func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInf
 func TestRecoveryRollsBackUncommitted(t *testing.T) {
 	r := newRig(t, 2)
 	r.run(t, func(ctx env.Ctx) {
-		pn0, pn1 := r.pns[0], r.pns[1]
+		pn0, pn1 := r.PNs[0], r.PNs[1]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(42)})
@@ -166,14 +138,14 @@ func TestRecoveryRollsBackUncommitted(t *testing.T) {
 func TestRecoveryLeavesCommittedAlone(t *testing.T) {
 	r := newRig(t, 2)
 	r.run(t, func(ctx env.Ctx) {
-		pn0 := r.pns[0]
+		pn0 := r.PNs[0]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(1)})
 		setup.Commit(ctx)
 		// A properly committed transaction from pn1.
-		t1, _ := r.pns[1].Catalog().OpenTable(ctx, "kv")
-		txn, _ := r.pns[1].Begin(ctx)
+		t1, _ := r.PNs[1].Catalog().OpenTable(ctx, "kv")
+		txn, _ := r.PNs[1].Begin(ctx)
 		txn.Update(ctx, t1, rid, relational.Row{relational.I64(1), relational.I64(2)})
 		if err := txn.Commit(ctx); err != nil {
 			t.Fatal(err)
@@ -200,7 +172,7 @@ func TestFailureDetectorTriggersRecovery(t *testing.T) {
 	recovered := ""
 	r.mgr.OnRecovered = func(pn string, n int) { recovered = pn }
 	r.run(t, func(ctx env.Ctx) {
-		pn0, pn1 := r.pns[0], r.pns[1]
+		pn0, pn1 := r.PNs[0], r.PNs[1]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(7)})
@@ -209,7 +181,7 @@ func TestFailureDetectorTriggersRecovery(t *testing.T) {
 		crashMidCommit(t, ctx, pn1, table, rid, &deadTid)
 		// Kill pn1's endpoint; the failure detector must notice and
 		// recover within a few ping intervals.
-		r.net.SetDown("pn1", true)
+		r.Net.SetDown("pn1", true)
 		ctx.Sleep(500 * time.Millisecond)
 		if recovered != "pn1" {
 			t.Fatalf("recovered = %q, want pn1", recovered)
@@ -242,26 +214,26 @@ func TestCrashDuringPartitionDeclaredDeadOnce(t *testing.T) {
 		}
 	}
 	r.run(t, func(ctx env.Ctx) {
-		pn0 := r.pns[0]
+		pn0 := r.PNs[0]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(7)})
 		setup.Commit(ctx)
 		var deadTid uint64
-		crashMidCommit(t, ctx, r.pns[1], table, rid, &deadTid)
+		crashMidCommit(t, ctx, r.PNs[1], table, rid, &deadTid)
 
 		// Partition pn1 away from the management node, then crash it while
 		// the partition is still in force: both conditions overlap the same
 		// detection window.
-		r.net.DropFn = func(src, dst string) bool {
+		r.Net.DropFn = func(src, dst string) bool {
 			return (src == "pn-mgmt" && dst == "pn1") || (src == "pn1" && dst == "pn-mgmt")
 		}
 		ctx.Sleep(20 * time.Millisecond) // a few missed pings into the window
-		r.net.SetDown("pn1", true)
+		r.Net.SetDown("pn1", true)
 		ctx.Sleep(500 * time.Millisecond)
 		// Heal the partition with the node still crashed: probes keep
 		// failing, but the verdict must not be re-issued.
-		r.net.DropFn = nil
+		r.Net.DropFn = nil
 		ctx.Sleep(500 * time.Millisecond)
 
 		if recoveredCount != 1 {
@@ -277,19 +249,19 @@ func TestRecoveryHandlesMultipleFailures(t *testing.T) {
 	r := newRig(t, 3)
 	r.mgr.Start()
 	r.run(t, func(ctx env.Ctx) {
-		pn0 := r.pns[0]
+		pn0 := r.PNs[0]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid1, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(1)})
 		rid2, _ := setup.Insert(ctx, table, relational.Row{relational.I64(2), relational.I64(2)})
 		setup.Commit(ctx)
 		var tid1, tid2 uint64
-		t1, _ := r.pns[1].Catalog().OpenTable(ctx, "kv")
-		t2, _ := r.pns[2].Catalog().OpenTable(ctx, "kv")
-		crashMidCommit(t, ctx, r.pns[1], t1, rid1, &tid1)
-		crashMidCommit(t, ctx, r.pns[2], t2, rid2, &tid2)
-		r.net.SetDown("pn1", true)
-		r.net.SetDown("pn2", true)
+		t1, _ := r.PNs[1].Catalog().OpenTable(ctx, "kv")
+		t2, _ := r.PNs[2].Catalog().OpenTable(ctx, "kv")
+		crashMidCommit(t, ctx, r.PNs[1], t1, rid1, &tid1)
+		crashMidCommit(t, ctx, r.PNs[2], t2, rid2, &tid2)
+		r.Net.SetDown("pn1", true)
+		r.Net.SetDown("pn2", true)
 		ctx.Sleep(time.Second)
 		if r.mgr.Recoveries() != 2 || r.mgr.RolledBack() != 2 {
 			t.Fatalf("recoveries=%d rolledBack=%d", r.mgr.Recoveries(), r.mgr.RolledBack())

@@ -173,9 +173,6 @@ func DecodeSchema(b []byte) (*TableSchema, error) {
 // SchemaKey is where a table's schema lives in the shared catalog.
 func SchemaKey(name string) []byte { return []byte("schema/" + name) }
 
-// SchemaPrefix bounds catalog scans.
-func SchemaPrefix() ([]byte, []byte) { return []byte("schema/"), []byte("schema0") }
-
 // RecordKey is the store key of a row: "d/<tableID>/<rid BE>". One row, one
 // key-value pair (§5.1).
 func RecordKey(tableID uint32, rid uint64) []byte {

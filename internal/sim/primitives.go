@@ -267,6 +267,3 @@ func (r *Resource) Utilization() float64 {
 	}
 	return float64(r.busy) / float64(elapsed) / float64(r.total)
 }
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }

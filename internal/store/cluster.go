@@ -222,13 +222,3 @@ func (c *Cluster) CheckpointAll(ctx env.Ctx) error {
 	}
 	return nil
 }
-
-// TotalKeys sums stored cells across masters (each key counted once per
-// owning master).
-func (c *Cluster) TotalKeys() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.Keys()
-	}
-	return total
-}

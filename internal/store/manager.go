@@ -98,7 +98,6 @@ type Manager struct {
 
 	failovers  int
 	recoveries int
-	rejoins    int
 }
 
 // SNRecoverer reconstructs a dead storage node's partitions from its durable
@@ -322,7 +321,6 @@ func (m *Manager) probeDead() {
 				m.known = make(map[string]bool)
 			}
 			m.known[addr] = true
-			m.rejoins++
 			pm := m.pmap.Clone()
 			m.mu.Unlock()
 			cfg := encodeMetaConfigure(pm)
@@ -335,13 +333,6 @@ func (m *Manager) probeDead() {
 			}
 		})
 	}
-}
-
-// Rejoins returns how many dead nodes have been reintegrated after healing.
-func (m *Manager) Rejoins() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rejoins
 }
 
 // liveNodesLocked lists distinct storage addresses that are not known dead:

@@ -8,7 +8,6 @@ import (
 	"tell/internal/det"
 	"tell/internal/durable"
 	"tell/internal/env"
-	"tell/internal/metrics"
 	"tell/internal/obs"
 	"tell/internal/resil"
 	"tell/internal/sanitize"
@@ -91,7 +90,6 @@ type Node struct {
 
 	// stats
 	nGets, nWrites, nScans uint64
-	lat                    *metrics.Summary // handler latency per request class
 
 	// obs is the optional telemetry pipeline; obsHeat the node's per-range
 	// heat tracker within it. Both are nil-safe, so the hot-path hooks stay
@@ -117,7 +115,6 @@ func NewNode(addr string, envr env.Full, n env.Node, tr transport.Transport, cos
 		dedup:   resil.NewWindow(1024),
 		gate:    resil.NewGate(envr, 256, time.Millisecond),
 		retr:    resil.NewRetrier(),
-		lat:     metrics.NewSummary(),
 	}
 	sn.mu.SetName("store.Node.mu")
 	return sn
@@ -189,25 +186,6 @@ func (sn *Node) CurrentMap() *PartitionMap {
 	return sn.pmap.Clone()
 }
 
-// OwnedKeys returns every live key this node currently masters, in order.
-// Synchronous and lock-bound: a post-run assertion helper for tests, not a
-// serving path.
-func (sn *Node) OwnedKeys() [][]byte {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	var out [][]byte
-	sn.mt.scan(nil, nil, false, func(key []byte, c cell) bool {
-		if c.dead {
-			return true
-		}
-		if _, mine := sn.masterOf(KeyHash(key)); mine {
-			out = append(out, append([]byte(nil), key...))
-		}
-		return true
-	})
-	return out
-}
-
 func (sn *Node) applyMap(m *PartitionMap) {
 	if m.Epoch < sn.pmap.Epoch {
 		return
@@ -232,8 +210,8 @@ func (sn *Node) masterOf(h uint64) (*Partition, bool) {
 	return nil, false
 }
 
-// handle dispatches one incoming message and records the handler latency
-// under the request-class name (served by `tellcli stats`).
+// handle dispatches one incoming message and feeds the handler latency to
+// the telemetry pipeline under the request-class name.
 func (sn *Node) handle(ctx env.Ctx, req []byte) []byte {
 	start := ctx.Now()
 	// A crashed or WAL-dead node refuses everything, pings included, so the
@@ -262,20 +240,15 @@ func (sn *Node) handle(ctx env.Ctx, req []byte) []byte {
 		class, resp = "ping", []byte{byte(wire.KindPong)}
 	case wire.KindRecoverReq:
 		class, resp = "recover", sn.handleRecover(ctx, req)
-	case wire.KindStatsReq:
-		return sn.handleStats(ctx)
 	case wire.KindStatsExtReq:
 		ext := sn.obs.StatsExt(sn.addr)
 		sn.fillMigStats(ext)
+		sn.fillCounters(ext, ctx.Now())
 		return ext.Encode()
 	default:
 		return (&wire.StoreResponse{Status: wire.StatusError}).Encode()
 	}
-	elapsed := ctx.Now() - start
-	sn.mu.Lock()
-	sn.lat.Record(class, elapsed)
-	sn.mu.Unlock()
-	sn.obs.ObserveClass(start, sn.addr, class, elapsed)
+	sn.obs.ObserveClass(start, sn.addr, class, ctx.Now()-start)
 	return resp
 }
 
@@ -294,34 +267,24 @@ func unavailableFor(k wire.Kind) []byte {
 	}
 }
 
-// handleStats serves a telemetry snapshot: per-class handler-latency digests
-// plus operation counts and any trace-recorder counters.
-func (sn *Node) handleStats(ctx env.Ctx) []byte {
-	snap := &wire.StatsSnapshot{Node: sn.addr, UptimeNs: int64(ctx.Now())}
+// fillCounters appends the node's running totals (and the process's trace
+// counters) to a stats snapshot as plain series rows.
+func (sn *Node) fillCounters(ext *wire.StatsExt, now time.Duration) {
+	if ext.NowNs == 0 {
+		ext.NowNs = int64(now) // no pipeline: report uptime on the env clock
+	}
 	sn.mu.Lock()
-	for _, name := range sn.lat.Names() {
-		h := sn.lat.Get(name)
-		snap.Classes = append(snap.Classes, wire.StatsClass{
-			Name:   name,
-			Count:  h.Count(),
-			MeanNs: int64(h.Mean()),
-			P99Ns:  int64(h.Percentile(99)),
-			MaxNs:  int64(h.Max()),
-		})
-	}
-	snap.Counters = append(snap.Counters,
-		wire.StatsCounter{Name: "ops/gets", Value: int64(sn.nGets)},
-		wire.StatsCounter{Name: "ops/writes", Value: int64(sn.nWrites)},
-		wire.StatsCounter{Name: "ops/scans", Value: int64(sn.nScans)},
-		wire.StatsCounter{Name: "store/keys", Value: int64(sn.mt.len())},
-		wire.StatsCounter{Name: "resil/replays", Value: int64(sn.dedup.Replays())},
-		wire.StatsCounter{Name: "resil/sheds", Value: int64(sn.gate.Sheds())},
-	)
+	ext.AddCounter(sn.addr, "store/gets", int64(sn.nGets))
+	ext.AddCounter(sn.addr, "store/writes", int64(sn.nWrites))
+	ext.AddCounter(sn.addr, "store/scans", int64(sn.nScans))
+	ext.AddCounter(sn.addr, "store/keys", int64(sn.mt.len()))
 	sn.mu.Unlock()
+	ext.AddCounter(sn.addr, "resil/replays", int64(sn.dedup.Replays()))
+	ext.AddCounter(sn.addr, "resil/sheds", int64(sn.gate.Sheds()))
 	for _, c := range env.Tracer(sn.envr).Counters() {
-		snap.Counters = append(snap.Counters, wire.StatsCounter{Name: "trace/" + c.Name, Value: c.Value})
+		ext.AddCounter(sn.addr, "trace/"+c.Name, c.Value)
 	}
-	return snap.Encode()
+	ext.SortRows()
 }
 
 // handleStore executes a client batch: run every op against the memtable,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tell/internal/env"
+	"tell/internal/obs"
 	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
@@ -633,12 +634,13 @@ func TestUnknownOpCodeReturnsError(t *testing.T) {
 	})
 }
 
-// TestStatsSnapshot: after some traffic, a KindStatsReq must return a
-// snapshot with per-class latency digests and operation counters that
-// reflect the requests served.
+// TestStatsSnapshot: after some traffic, a stats request must return a
+// snapshot with per-class latency digests (from the attached pipeline) and
+// operation counters that reflect the requests served.
 func TestStatsSnapshot(t *testing.T) {
 	h := newHarness(t, store.ClusterConfig{NumNodes: 1})
 	defer h.close()
+	h.cluster.Nodes[0].SetObs(obs.New(obs.Config{}, h.envr.Now))
 	h.run(t, func(ctx env.Ctx) {
 		if _, err := h.client.Put(ctx, []byte("k"), []byte("v")); err != nil {
 			t.Fatalf("put: %v", err)
@@ -647,34 +649,33 @@ func TestStatsSnapshot(t *testing.T) {
 			t.Fatalf("get: %v", err)
 		}
 		conn, _ := h.net.Dial(h.pn, "sn0")
-		raw, err := conn.RoundTrip(ctx, wire.EncodeStatsReq())
+		raw, err := conn.RoundTrip(ctx, wire.EncodeStatsExtReq())
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := wire.DecodeStatsSnapshot(raw)
+		snap, err := wire.DecodeStatsExt(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.Node != "sn0" || snap.UptimeNs <= 0 {
+		if snap.Node != "sn0" || snap.NowNs <= 0 {
 			t.Fatalf("snapshot header: %+v", snap)
 		}
 		var storeCount uint64
-		for _, c := range snap.Classes {
-			if c.Name == "store" {
-				storeCount = c.Count
-				if c.MaxNs < c.MeanNs || c.P99Ns < c.MeanNs {
-					t.Fatalf("inconsistent digest: %+v", c)
+		counters := map[string]int64{}
+		for _, s := range snap.Series {
+			if !s.Hist {
+				counters[s.Metric] = s.Total
+			} else if s.Metric == "lat/store" {
+				storeCount = s.Count
+				if s.P99Ns < s.P50Ns || s.P999Ns < s.P99Ns {
+					t.Fatalf("inconsistent digest: %+v", s)
 				}
 			}
 		}
 		if storeCount < 2 {
 			t.Fatalf("store class count %d, want >= 2 (put+get)", storeCount)
 		}
-		counters := map[string]int64{}
-		for _, c := range snap.Counters {
-			counters[c.Name] = c.Value
-		}
-		if counters["ops/gets"] < 1 || counters["ops/writes"] < 1 || counters["store/keys"] < 1 {
+		if counters["store/gets"] < 1 || counters["store/writes"] < 1 || counters["store/keys"] < 1 {
 			t.Fatalf("counters: %v", counters)
 		}
 	})

@@ -1,16 +1,14 @@
 package tpcc_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/relational"
-	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
 	"tell/internal/tpcc"
@@ -19,62 +17,41 @@ import (
 
 // rig is a full Tell stack with a loaded TPC-C dataset.
 type rig struct {
-	k       *sim.Kernel
-	envr    env.Full
-	net     *transport.SimNet
-	cluster *store.Cluster
-	pns     []*core.PN
-	driver  env.Node
-	loaded  *tpcc.Loaded
-	cfg     tpcc.Config
+	*deploy.Sim
+	loaded *tpcc.Loaded
+	cfg    tpcc.Config
 }
 
 func newRig(t *testing.T, nPNs int, cfg tpcc.Config) *rig {
 	t.Helper()
-	k := sim.NewKernel(testutil.Seed(t, 77))
-	envr := env.NewSim(k)
-	net := transport.NewSimNet(k, transport.InfiniBand())
-	cl, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 2})
+	s := deploy.NewSim(testutil.Seed(t, 77), transport.InfiniBand())
+	err := s.Build(deploy.Spec{
+		Storage: store.ClusterConfig{NumNodes: 2},
+		CMs:     1,
+		PNs:     nPNs,
+		PN:      core.Config{Workers: 8},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := tpcc.Load(cl, cfg)
+	loaded, err := tpcc.Load(s.Storage, cfg)
+	if err == nil {
+		err = s.Start()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmNode := envr.NewNode("cm0", 2)
-	cm := commitmgr.New("cm0", "cm0", envr, cmNode, net, cl.NewClient(cmNode))
-	if err := cm.Start(); err != nil {
-		t.Fatal(err)
-	}
-	r := &rig{k: k, envr: envr, net: net, cluster: cl, loaded: loaded, cfg: loaded.Config}
-	for i := 0; i < nPNs; i++ {
-		name := fmt.Sprintf("pn%d", i)
-		node := envr.NewNode(name, 4)
-		pn := core.New(core.Config{ID: name, Workers: 8}, envr, node, net,
-			cl.NewClient(node), commitmgr.NewClient(envr, node, net, []string{"cm0"}))
+	for _, pn := range s.PNs {
 		pn.StartWorkers()
-		r.pns = append(r.pns, pn)
 	}
-	r.driver = envr.NewNode("terminals", 4)
-	return r
+	return &rig{Sim: s, loaded: loaded, cfg: loaded.Config}
 }
 
 func (r *rig) run(t *testing.T, fn func(ctx env.Ctx)) {
 	t.Helper()
-	done := false
-	r.driver.Go("test", func(ctx env.Ctx) {
-		defer r.k.Stop()
-		fn(ctx)
-		done = true
-	})
-	if err := r.k.RunUntil(sim.Time(30000 * time.Second)); err != nil {
+	if err := r.Run(30000*time.Second, fn); err != nil {
 		t.Fatal(err)
 	}
-	if !done {
-		t.Fatal("test activity did not finish")
-	}
-	r.k.Shutdown()
 }
 
 func smallCfg() tpcc.Config {
@@ -88,7 +65,7 @@ func TestLoadShapes(t *testing.T) {
 		t.Fatal("nothing loaded")
 	}
 	r.run(t, func(ctx env.Ctx) {
-		pn := r.pns[0]
+		pn := r.PNs[0]
 		eng, err := tpcc.NewTellEngine(ctx, pn)
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +106,7 @@ func TestNewOrderAdvancesDistrictAndCreatesRows(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
-		pn := r.pns[0]
+		pn := r.PNs[0]
 		eng, _ := tpcc.NewTellEngine(ctx, pn)
 		in := &tpcc.NewOrderInput{
 			W: 1, D: 1, C: 1,
@@ -169,7 +146,7 @@ func TestInvalidItemRollsBack(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
-		pn := r.pns[0]
+		pn := r.PNs[0]
 		eng, _ := tpcc.NewTellEngine(ctx, pn)
 		in := &tpcc.NewOrderInput{
 			W: 1, D: 2, C: 1, InvalidItem: true,
@@ -197,7 +174,7 @@ func TestPaymentByLastName(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
-		eng, _ := tpcc.NewTellEngine(ctx, r.pns[0])
+		eng, _ := tpcc.NewTellEngine(ctx, r.PNs[0])
 		in := &tpcc.PaymentInput{
 			W: 1, D: 1, CW: 1, CD: 1,
 			ByLastName: true, CLast: tpcc.LastName(0), // "BARBARBAR", loaded for c_id 1
@@ -208,8 +185,8 @@ func TestPaymentByLastName(t *testing.T) {
 			t.Fatalf("payment: %v %v", ok, err)
 		}
 		// Warehouse ytd moved.
-		wt, _ := r.pns[0].Catalog().OpenTable(ctx, tpcc.TWarehouse)
-		txn, _ := r.pns[0].Begin(ctx)
+		wt, _ := r.PNs[0].Catalog().OpenTable(ctx, tpcc.TWarehouse)
+		txn, _ := r.PNs[0].Begin(ctx)
 		_, wRow, _, _ := txn.LookupPK(ctx, wt, relational.I64(1))
 		if wRow[tpcc.WYtd].F != 300042.5 {
 			t.Fatalf("w_ytd = %v", wRow[tpcc.WYtd].F)
@@ -222,7 +199,7 @@ func TestDeliveryConsumesOldestNewOrders(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
-		pn := r.pns[0]
+		pn := r.PNs[0]
 		eng, _ := tpcc.NewTellEngine(ctx, pn)
 		// Count new-order rows in district 1 before.
 		not, _ := pn.Catalog().OpenTable(ctx, tpcc.TNewOrder)
@@ -254,7 +231,7 @@ func TestOrderStatusAndStockLevel(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
-		eng, _ := tpcc.NewTellEngine(ctx, r.pns[0])
+		eng, _ := tpcc.NewTellEngine(ctx, r.PNs[0])
 		ok, err := eng.OrderStatus(ctx, &tpcc.OrderStatusInput{W: 1, D: 1, C: 5})
 		if err != nil || !ok {
 			t.Fatalf("orderstatus: %v %v", ok, err)
@@ -276,7 +253,7 @@ func TestStandardMixEndToEnd(t *testing.T) {
 	r := newRig(t, 2, cfg)
 	r.run(t, func(ctx env.Ctx) {
 		var engines []tpcc.Engine
-		for _, pn := range r.pns {
+		for _, pn := range r.PNs {
 			eng, err := tpcc.NewTellEngine(ctx, pn)
 			if err != nil {
 				t.Fatal(err)
@@ -284,7 +261,7 @@ func TestStandardMixEndToEnd(t *testing.T) {
 			engines = append(engines, eng)
 		}
 		drv := tpcc.NewDriver(cfg, tpcc.StandardMix(), engines, 16, 5)
-		res := drv.Run(ctx, r.envr, r.driver, 20, 300)
+		res := drv.Run(ctx, r.Env, r.Driver, 20, 300)
 		if res.TotalCommitted() == 0 {
 			t.Fatal("nothing committed")
 		}
@@ -301,7 +278,7 @@ func TestStandardMixEndToEnd(t *testing.T) {
 
 		// TPC-C consistency condition 1&3 (clause 3.3.2): for every
 		// district, d_next_o_id - 1 equals the max o_id and max no_o_id.
-		pn := r.pns[0]
+		pn := r.PNs[0]
 		dist, _ := pn.Catalog().OpenTable(ctx, tpcc.TDistrict)
 		ords, _ := pn.Catalog().OpenTable(ctx, tpcc.TOrders)
 		txn, _ := pn.Begin(ctx)
@@ -332,9 +309,9 @@ func TestReadIntensiveMixMostlyReads(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
-		eng, _ := tpcc.NewTellEngine(ctx, r.pns[0])
+		eng, _ := tpcc.NewTellEngine(ctx, r.PNs[0])
 		drv := tpcc.NewDriver(cfg, tpcc.ReadIntensiveMix(), []tpcc.Engine{eng}, 8, 5)
-		res := drv.Run(ctx, r.envr, r.driver, 10, 200)
+		res := drv.Run(ctx, r.Env, r.Driver, 10, 200)
 		if res.Tps() <= 0 {
 			t.Fatalf("Tps = %v", res.Tps())
 		}

@@ -12,13 +12,11 @@ import (
 
 // LocalNet delivers messages in-process on real goroutines. It is the
 // transport for unit tests and single-process deployments (the examples run
-// a whole virtual cluster inside one binary this way). An optional fixed
-// latency can be injected per round trip.
+// a whole virtual cluster inside one binary this way).
 type LocalNet struct {
-	mu      sanitize.RWMutex
-	eps     map[string]*localEndpoint
-	down    map[string]bool
-	latency time.Duration
+	mu   sanitize.RWMutex
+	eps  map[string]*localEndpoint
+	down map[string]bool
 
 	statsMu sanitize.Mutex
 	stats   Stats
@@ -36,9 +34,6 @@ func NewLocalNet() *LocalNet {
 	n.statsMu.SetName("transport.LocalNet.statsMu")
 	return n
 }
-
-// SetLatency injects a fixed real-time delay per round trip.
-func (n *LocalNet) SetLatency(d time.Duration) { n.latency = d }
 
 // SetDown marks addr as failed or recovered.
 func (n *LocalNet) SetDown(addr string, down bool) {
@@ -107,9 +102,6 @@ func (c *localConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 		srcName = nodeName(c.src)
 		t0 = ctx.Now()
 	}
-	if n.latency > 0 {
-		ctx.Sleep(n.latency)
-	}
 	flow := sc.R.MsgSend(sc.Span, srcName, c.dst, int64(len(req)))
 	// The handler runs inline on the caller's goroutine but against the
 	// serving node's context, so Node() reports correctly. Under the real
@@ -127,24 +119,13 @@ func (c *localConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 			int64(len(req)), int64(len(resp)))
 		rflow := sc.R.MsgSend(hctx.sc.Span, c.dst, srcName, int64(len(resp)))
 		defer sc.R.MsgRecv(rflow, srcName, int64(len(resp)))
-	}
-	if n.latency > 0 {
-		ctx.Sleep(n.latency)
-	}
-	if sc.R.Enabled() {
 		sc.R.CounterAdd(srcName, "net/msgs", 1)
 		sc.R.CounterAdd(srcName, "net/bytes", int64(len(req)+len(resp)))
 	}
 	if sc.Agg != nil {
-		// Wire time is the injected latency (both legs); everything else
-		// in the round trip is remote service.
-		total := ctx.Now() - t0
-		net := 2 * n.latency
-		if net > total {
-			net = total
-		}
-		sc.Agg.Add(trace.CompNetwork, net)
-		sc.Agg.Add(trace.CompRemote, total-net)
+		// In-process delivery has no wire time: the whole round trip is
+		// remote service.
+		sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
 	}
 	n.statsMu.Lock()
 	n.stats.BytesRecv += uint64(len(resp))

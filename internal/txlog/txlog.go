@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tell/internal/env"
+	"tell/internal/mvcc"
 	"tell/internal/store"
 	"tell/internal/wire"
 )
@@ -169,6 +170,42 @@ func (l *Log) MarkAborted(ctx env.Ctx, tid uint64) (fenced, committed bool, err 
 			return false, false, err
 		}
 	}
+}
+
+// RollbackVersion removes version tid from the record at key, deleting the
+// record entirely when no versions remain. It retries through interference;
+// the owning transaction, the PN recovery process (§4.4.1) and the commit
+// managers' dead-peer sweep all roll back through it.
+func RollbackVersion(ctx env.Ctx, sc *store.Client, key []byte, tid uint64) error {
+	for attempt := 0; attempt < 64; attempt++ {
+		raw, stamp, err := sc.Get(ctx, key)
+		if err == store.ErrNotFound {
+			return nil // already gone
+		}
+		if err != nil {
+			return err
+		}
+		rec, err := mvcc.Decode(raw)
+		if err != nil {
+			return err
+		}
+		pruned, nonEmpty := rec.WithoutVersion(tid)
+		if len(pruned.Versions) == len(rec.Versions) {
+			return nil // version not present (already rolled back)
+		}
+		if nonEmpty {
+			_, err = sc.CondPut(ctx, key, pruned.Encode(), stamp)
+		} else {
+			err = sc.Delete(ctx, key, stamp)
+		}
+		if err == nil {
+			return nil
+		}
+		if err != store.ErrConflict {
+			return err
+		}
+	}
+	return fmt.Errorf("txlog: rollback of %q tid %d exhausted retries", key, tid)
 }
 
 // CorruptEntryError reports a transaction-log record that failed to decode

@@ -38,9 +38,12 @@ func FuzzRoundTrip(f *testing.F) {
 		Assign:  []RecoverAssign{{Pid: 4, Addr: "sn0"}, {Pid: 9, Addr: "sn2"}},
 	}).Encode())
 	f.Add((&RecoverResponse{Status: StatusOK, Records: 120, Bytes: 4096}).Encode())
-	f.Add((&StatsSnapshot{Node: "sn0", UptimeNs: 12345,
-		Classes:  []StatsClass{{Name: "store", Count: 9, MeanNs: 1200, P99Ns: 5000, MaxNs: 9000}},
-		Counters: []StatsCounter{{Name: "sn0/gets", Value: 42}, {Name: "sn0/writes", Value: -1}},
+	f.Add((&StatsExt{Node: "sn0", NowNs: 12345, WindowNs: 1000,
+		Series: []SeriesStat{
+			{Node: "sn0", Metric: "store", Hist: true, Total: 9, Count: 9, MeanNs: 1200, P50Ns: 1000, P99Ns: 5000, P999Ns: 9000},
+			{Node: "sn0", Metric: "store/gets", Total: 42},
+		},
+		Heat: []HeatStat{{Node: "sn0", Range: 3, Reads: 7, Writes: 2}},
 	}).Encode())
 	// A few corrupt variants: truncated, kind-swapped, bit-flipped.
 	f.Add([]byte{byte(KindStoreReq)})
@@ -108,14 +111,14 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("RecoverResponse fixpoint: % x != % x", e1, e2)
 			}
 		}
-		if m, err := DecodeStatsSnapshot(data); err == nil {
+		if m, err := DecodeStatsExt(data); err == nil {
 			e1 := m.Encode()
-			m2, err := DecodeStatsSnapshot(e1)
+			m2, err := DecodeStatsExt(e1)
 			if err != nil {
-				t.Fatalf("re-decode StatsSnapshot: %v", err)
+				t.Fatalf("re-decode StatsExt: %v", err)
 			}
 			if e2 := m2.Encode(); !bytes.Equal(e1, e2) {
-				t.Fatalf("StatsSnapshot fixpoint: % x != % x", e1, e2)
+				t.Fatalf("StatsExt fixpoint: % x != % x", e1, e2)
 			}
 		}
 	})

@@ -18,8 +18,11 @@ const (
 	KindMetaResp
 	KindPing
 	KindPong
-	KindStatsReq
-	KindStatsResp
+	// 11 and 12 belonged to the retired base stats protocol. The slots stay
+	// reserved so every later kind keeps its byte value in WAL segments,
+	// journals and fuzz corpora.
+	_
+	_
 	KindRecoverReq
 	KindRecoverResp
 	// KindStatsExtReq / KindStatsExtResp carry the extended telemetry

@@ -5,13 +5,12 @@ import (
 	"sort"
 )
 
-// This file defines the extended stats protocol carrying the obs
-// pipeline's view of a daemon: current windowed-series digests, per-range
-// heat rows, SLO breach tallies and flight-recorder state. The base stats
-// protocol (stats.go) stays untouched for old clients; `tellcli top` and
-// the live views consume this one. The management node additionally
-// answers it with a cluster-wide aggregation (fan-out over the storage
-// nodes), so one request paints the whole heatmap.
+// This file defines the stats protocol, the one telemetry message every
+// daemon role answers: current windowed-series digests, plain counters,
+// per-range heat rows, SLO breach tallies and flight-recorder state.
+// `tellcli stats` renders one daemon's snapshot, `tellcli top` the cluster:
+// the management node answers with a cluster-wide aggregation (fan-out over
+// the storage nodes), so one request paints the whole heatmap.
 
 // SeriesStat is the digest of one windowed series: the merged quantiles
 // over the retained windows plus the all-time total.
@@ -82,6 +81,12 @@ type StatsExt struct {
 
 // EncodeStatsExtReq builds the (payload-free) extended stats request.
 func EncodeStatsExtReq() []byte { return []byte{byte(KindStatsExtReq)} }
+
+// AddCounter appends a plain (non-histogram) series row carrying one running
+// total. Call SortRows afterwards to restore the canonical order.
+func (m *StatsExt) AddCounter(node, metric string, total int64) {
+	m.Series = append(m.Series, SeriesStat{Node: node, Metric: metric, Total: total})
+}
 
 // Merge folds another daemon's snapshot into m — the management node's
 // cluster aggregation. Rows carry their origin node, so merging is

@@ -258,7 +258,6 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 		DecodeStoreResponse(b)
 		DecodeReplicateRequest(b)
 		DecodeReplicateResponse(b)
-		DecodeStatsSnapshot(b)
 		DecodeStatsExt(b)
 		return true
 	}

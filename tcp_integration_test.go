@@ -186,12 +186,19 @@ func TestFullStackOverTCP(t *testing.T) {
 		t.Error("merged heat rows carry zero operations after the workload")
 	}
 	foundStore := false
+	var writes int64
 	for _, s := range ext.Series {
 		if s.Metric == "lat/store" && s.Count > 0 {
 			foundStore = true
 		}
+		if s.Metric == "store/writes" {
+			writes += s.Total
+		}
 	}
 	if !foundStore {
 		t.Error("merged snapshot has no store handler-latency series")
+	}
+	if writes == 0 {
+		t.Error("merged snapshot has no store/writes counter rows")
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"tell/internal/commitmgr"
 	"tell/internal/core"
+	"tell/internal/deploy"
 	"tell/internal/env"
 	"tell/internal/obs"
 	"tell/internal/recovery"
@@ -125,13 +126,13 @@ func (o *Options) fill() {
 
 // Cluster is an embedded shared-data database cluster.
 type Cluster struct {
-	envr    env.Full
-	net     *transport.LocalNet
-	storage *store.Cluster
-	cms     []*commitmgr.Server
-	cmAddrs []string
-	pnMgr   *recovery.Manager
-	obs     *obs.Pipeline // nil unless Options.Telemetry
+	net   *transport.LocalNet
+	dep   *deploy.Deployment
+	pnMgr *recovery.Manager
+	// mgmtStore and mgmtCM are the PN-failure manager's clients.
+	mgmtStore *store.Client
+	mgmtCM    *commitmgr.Client
+	obs       *obs.Pipeline // nil unless Options.Telemetry
 
 	mu     sanitize.Mutex
 	dbs    map[string]*DB
@@ -142,19 +143,9 @@ type Cluster struct {
 func Start(opts Options) (*Cluster, error) {
 	opts.fill()
 	envr := env.NewReal(opts.Seed)
-	net := transport.NewLocalNet()
-	storage, err := store.NewCluster(envr, net, store.ClusterConfig{
-		NumNodes:          opts.StorageNodes,
-		ReplicationFactor: opts.ReplicationFactor,
-	})
-	if err != nil {
-		return nil, err
-	}
 	c := &Cluster{
-		envr:    envr,
-		net:     net,
-		storage: storage,
-		dbs:     make(map[string]*DB),
+		net: transport.NewLocalNet(),
+		dbs: make(map[string]*DB),
 	}
 	c.mu.SetName("tell.Cluster.mu")
 	if opts.Telemetry {
@@ -164,41 +155,27 @@ func Start(opts Options) (*Cluster, error) {
 		env.SetTracer(envr, rec)
 		c.obs = obs.New(obs.Config{AdaptiveOutliers: true}, envr.Now)
 		rec.SetTap(c.obs.Flight())
-		for _, addr := range storage.Addrs() {
-			storage.Node(addr).SetObs(c.obs)
-		}
 	}
-	var ids []string
-	for i := 0; i < opts.CommitManagers; i++ {
-		ids = append(ids, fmt.Sprintf("cm%d", i))
+	dep, err := deploy.Build(envr, c.net, deploy.Spec{
+		Storage: store.ClusterConfig{
+			NumNodes:          opts.StorageNodes,
+			ReplicationFactor: opts.ReplicationFactor,
+		},
+		CMs: opts.CommitManagers,
+		Obs: c.obs,
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, id := range ids {
-		node := envr.NewNode(id, 2)
-		cm := commitmgr.New(id, id, envr, node, net, storage.NewClient(node))
-		cm.Peers = ids
-		cm.SetObs(c.obs)
-		if err := cm.Start(); err != nil {
-			return nil, err
-		}
-		c.cms = append(c.cms, cm)
-		c.cmAddrs = append(c.cmAddrs, id)
+	if err := dep.Start(); err != nil {
+		return nil, err
 	}
-	mgmtNode := envr.NewNode("pn-mgmt", 2)
-	c.pnMgr = recovery.NewManager(envr, mgmtNode, net, storage.NewClient(mgmtNode),
-		commitmgr.NewClient(envr, mgmtNode, net, c.cmAddrs))
+	c.dep = dep
+	mgmtNode := envr.NewNode("pn-mgmt", deploy.CMCores)
+	c.mgmtStore = dep.Storage.NewClient(mgmtNode)
+	c.mgmtCM = commitmgr.NewClient(envr, mgmtNode, c.net, dep.CMAddrs)
+	c.pnMgr = recovery.NewManager(envr, mgmtNode, c.net, c.mgmtStore, c.mgmtCM)
 	c.pnMgr.Start()
-	// Migration cutovers sample the commit managers' snapshot boundary; in
-	// the embedded assembly the servers are in-process, so read it directly.
-	cms := c.cms
-	storage.Manager.Fence = func(env.Ctx) uint64 {
-		var lav uint64
-		for i, cm := range cms {
-			if v := cm.Lav(); i == 0 || v < lav {
-				lav = v
-			}
-		}
-		return lav
-	}
 	return c, nil
 }
 
@@ -213,7 +190,7 @@ func (c *Cluster) AddStorageNode(addr string) error {
 		return errors.New("tell: cluster closed")
 	}
 	c.mu.Unlock()
-	sn, err := c.storage.AddStorageNode(addr)
+	sn, err := c.dep.Storage.AddStorageNode(addr)
 	if err != nil {
 		return err
 	}
@@ -228,7 +205,7 @@ func (c *Cluster) AddStorageNode(addr string) error {
 // split/migrate actions ran. Transactions keep executing throughout; ones
 // caught mid-cutover retry transparently on the new partition map.
 func (c *Cluster) Rebalance() (int, error) {
-	ctx, ok := env.DetachedCtx(c.storage.Manager.Node())
+	ctx, ok := env.DetachedCtx(c.dep.Storage.Manager.Node())
 	if !ok {
 		return 0, errors.New("tell: rebalance requires the real environment")
 	}
@@ -237,7 +214,7 @@ func (c *Cluster) Rebalance() (int, error) {
 	best := 1.0
 	stall := 0
 	for moves < 64 {
-		acted, err := c.storage.Manager.RebalanceOnce(ctx)
+		acted, err := c.dep.Storage.Manager.RebalanceOnce(ctx)
 		if err != nil {
 			return moves, err
 		}
@@ -250,7 +227,7 @@ func (c *Cluster) Rebalance() (int, error) {
 		// spread by any split or migration, so the policy ratio may never
 		// be met. Stop once several consecutive actions fail to reduce the
 		// hottest node's share of total load.
-		if share := c.storage.Manager.HotShare(); share < best-0.01 {
+		if share := c.dep.Storage.Manager.HotShare(); share < best-0.01 {
 			best, stall = share, 0
 		} else if stall++; stall >= 4 {
 			return moves, nil
@@ -272,15 +249,10 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	for _, cm := range c.cms {
-		cm.Stop()
-	}
 	c.pnMgr.Stop()
-	c.storage.Manager.Stop()
-	for _, db := range c.dbs {
-		db.pn.Stop()
-		db.pn.Store().Close()
-	}
+	c.dep.Stop()
+	c.mgmtStore.Close()
+	c.mgmtCM.Close()
 }
 
 // HeatRow is one (storage node, partition range) activity row from the
@@ -347,15 +319,12 @@ func (c *Cluster) NewProcessingNode(id string) (*DB, error) {
 	if _, ok := c.dbs[id]; ok {
 		return nil, fmt.Errorf("tell: processing node %q exists", id)
 	}
-	node := c.envr.NewNode(id, 4)
-	pn := core.New(core.Config{ID: id}, c.envr, node, c.net,
-		c.storage.NewClient(node),
-		commitmgr.NewClient(c.envr, node, c.net, c.cmAddrs))
+	pn := c.dep.AddPN(id)
 	if err := pn.Serve(c.net); err != nil {
 		return nil, err
 	}
 	c.pnMgr.Watch(id)
-	ctx, _ := env.DetachedCtx(node)
+	ctx, _ := env.DetachedCtx(c.dep.PNNodes[len(c.dep.PNNodes)-1])
 	db := &DB{cluster: c, pn: pn, ctx: ctx}
 	c.dbs[id] = db
 	return db, nil
