@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke bench assembly-gate golden-trace obs-golden ci
+.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke bench bench-ab assembly-gate golden-trace obs-golden ci
 
 test:
 	$(GO) test ./...
@@ -64,17 +64,31 @@ sanitize:
 	$(GO) test -race -tags telldebug ./internal/sanitize
 	$(GO) test -race -tags telldebug ./internal/chaos -run TestBankChaosMatrix
 
-# Allocation guards for the pooled wire hot path: the AllocsPerRun tests
-# pin encode/decode at zero steady-state allocations, and every benchmark
-# runs for one iteration so a broken hot path fails fast in CI.
+# Allocation guards for the store request path: the AllocsPerRun tests pin
+# pooled encode/decode at zero steady-state allocations, a cold sized encode
+# at one, a B+tree node decode at four and a full dedup window's commit at
+# one (the cloned response), and every benchmark runs for one iteration so a
+# broken hot path fails fast in CI.
 bench-smoke:
-	$(GO) test ./internal/wire -run 'ZeroAlloc|PutBufRejects' -bench . -benchtime 1x
+	$(GO) test ./internal/wire -run 'ZeroAlloc|OneAlloc|PutBufRejects' -bench . -benchtime 1x
+	$(GO) test ./internal/btree -run 'DecodeNodeAllocs' -bench DecodeNode -benchtime 1x
+	$(GO) test ./internal/resil -run 'WindowCommitAllocs' -bench WindowCommitFull -benchtime 1x
 
 # The repository benchmark (BENCHMARK.json): every workload × 3 seeds, one
 # process per run, medians into .bench_build/suite.json. Compare two suite
 # files with `bash bench/run.sh diff A.json B.json`.
 bench:
 	bash bench/run.sh suite --seed 42 --reps 3 --out .bench_build/suite.json
+
+# A host-clock claim, measured the way bench/README.md asks: PAIRS interleaved
+# runs of workload W on revision BASE and on the working tree, same seed within
+# a pair, alternating which side goes first; prints medians, quartiles and
+# wins per end-to-end metric and fails if a virtual-clock metric differs.
+#	make bench-ab BASE=HEAD~1 [W=tpcc-std] [PAIRS=10]
+W ?= tpcc-std
+PAIRS ?= 10
+bench-ab:
+	$(GO) run scripts/bench_ab.go -base $(BASE) -workload $(W) -pairs $(PAIRS)
 
 # One way to build a cluster: a full PN+SN+CM deployment is assembled only by
 # internal/deploy (plus the per-process daemons in cmd/, commitmgr's own unit

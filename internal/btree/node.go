@@ -160,24 +160,30 @@ func (n *node) encode() []byte {
 	return w.Bytes()
 }
 
-// decodeNode parses a stored node.
+// decodeNode parses a stored node. The node owns one private copy of b (the
+// caller's buffer may be recycled); its high key, keys and values are
+// subslices of that copy, so a node costs four allocations however many
+// entries it holds. Each subslice's capacity is clipped to its length:
+// clones share these bytes, and an append by a caller handed a key or value
+// must reallocate rather than run into the neighbouring entry.
 func decodeNode(id uint64, b []byte) (*node, error) {
-	r := wire.NewReader(b)
+	var r wire.Reader
+	r.Reset(append([]byte(nil), b...))
 	n := &node{id: id}
 	n.level = int(r.Uvarint())
 	n.next = r.Uvarint()
 	if r.Bool() {
-		n.highKey = append([]byte(nil), r.BytesN()...)
+		n.highKey = clip(r.BytesN())
 	}
 	cnt := r.Count(1)
 	n.keys = make([][]byte, cnt)
 	for i := range n.keys {
-		n.keys[i] = append([]byte(nil), r.BytesN()...)
+		n.keys[i] = clip(r.BytesN())
 	}
 	if n.leaf() {
 		n.vals = make([][]byte, cnt)
 		for i := range n.vals {
-			n.vals[i] = append([]byte(nil), r.BytesN()...)
+			n.vals[i] = clip(r.BytesN())
 		}
 	} else {
 		n.children = make([]uint64, cnt+1)
@@ -189,6 +195,15 @@ func decodeNode(id uint64, b []byte) (*node, error) {
 		return nil, err
 	}
 	return n, nil
+}
+
+// clip returns b with its capacity cut to its length; empty becomes nil, as
+// an absent high key (+infinity) is.
+func clip(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
 }
 
 // rootPtr is the tree's root record.

@@ -15,7 +15,6 @@ package deploy
 
 import (
 	"fmt"
-	"time"
 
 	"tell/internal/commitmgr"
 	"tell/internal/core"
@@ -165,16 +164,12 @@ func (d *Deployment) Start() error {
 	return nil
 }
 
-// stopGrace is how long Stop lets the commit managers' sync loops run on
-// after raising their stop flags (real environment only). A loop notices
-// the flag at its next tick, and its store client must outlive that tick:
-// an operation enqueued on a closed client never completes.
-const stopGrace = 50 * time.Millisecond
-
 // Stop shuts the deployment down: commit managers, management node,
 // processing nodes and every client Build created. Call it once client
-// activity has ceased; in-flight transactions may fail. Under the simulator
-// kernel shutdown reclaims the processes and Stop is optional.
+// activity has ceased; in-flight transactions may fail. A commit manager's
+// sync loop notices its stop flag at its next tick; what it still issues on
+// its closed store client until then fails with store.ErrClosed. Under the
+// simulator kernel shutdown reclaims the processes and Stop is optional.
 func (d *Deployment) Stop() {
 	for _, cm := range d.CMs {
 		cm.Stop()
@@ -184,9 +179,6 @@ func (d *Deployment) Stop() {
 		pn.Stop()
 		d.StoreClients[i].Close()
 		d.CMClients[i].Close()
-	}
-	if ctx, ok := env.DetachedCtx(d.Storage.Manager.Node()); ok {
-		ctx.Sleep(stopGrace)
 	}
 	for _, sc := range d.cmStores {
 		sc.Close()

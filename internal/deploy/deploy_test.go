@@ -208,7 +208,17 @@ func TestRealEnvLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Stop()
+	defer func() {
+		// Stop closes the commit managers' store clients right after
+		// raising their stop flags: what a sync loop still issues fails
+		// with store.ErrClosed, so there is no grace period to sleep out
+		// (it was 50 ms when such an operation hung instead).
+		begin := time.Now()
+		d.Stop()
+		if took := time.Since(begin); took >= 50*time.Millisecond {
+			t.Errorf("Stop took %v on the real environment; it must not sleep", took)
+		}
+	}()
 	if d.Storage.Manager.Fence == nil {
 		t.Error("Manager.Fence not wired on the real environment")
 	}

@@ -15,6 +15,9 @@ import (
 //	for _, k := range det.Keys(m) {
 //		use(k, m[k])
 //	}
+//
+// Every call allocates and sorts the whole key set: it is for control paths
+// and small maps, never for a per-request walk of a map that grows with load.
 func Keys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	ks := make([]K, 0, len(m))
 	for k := range m {

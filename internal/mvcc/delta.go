@@ -105,24 +105,14 @@ func (d *SnapshotDelta) Apply(old *Snapshot) (*Snapshot, error) {
 	return out, nil
 }
 
-// uvarintLen is the encoded size of v as a base-128 varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // EncodedSize is the exact wire size of the delta, used to decide whether
 // the delta actually beats retransmitting the full descriptor. (It must not
 // over-estimate: typical descriptors are small, so a pessimistic bound
 // would suppress the delta exactly where shipping it is cheapest.)
 func (d *SnapshotDelta) EncodedSize() int {
-	n := uvarintLen(d.Advance) + uvarintLen(uint64(len(d.Patches)))
+	n := wire.UvarintLen(d.Advance) + wire.UvarintLen(uint64(len(d.Patches)))
 	for i := range d.Patches {
-		n += uvarintLen(d.Patches[i].Index) + 8
+		n += wire.UvarintLen(d.Patches[i].Index) + 8
 	}
 	return n
 }

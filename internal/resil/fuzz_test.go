@@ -22,6 +22,7 @@ func FuzzWindowCodec(f *testing.F) {
 	w.Begin("pn1", 3)
 	w.Commit("pn1", 3, nil)
 	f.Add(w.Encode())
+	f.Add(fullWindow(1024).Encode())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decoded, err := resil.DecodeWindow(b)

@@ -2,6 +2,7 @@ package resil
 
 import (
 	"fmt"
+	"sort"
 
 	"tell/internal/det"
 	"tell/internal/sanitize"
@@ -66,9 +67,71 @@ type Window struct {
 }
 
 type clientWindow struct {
-	floor    uint64            // seqs <= floor may have been evicted
-	done     map[uint64][]byte // seq -> cached encoded response
+	floor    uint64 // seqs <= floor may have been evicted
+	done     doneRing
 	inflight map[uint64]struct{}
+}
+
+// doneEntry is one completed token and its cached encoded response.
+type doneEntry struct {
+	seq  uint64
+	resp []byte
+}
+
+// doneRing holds a client's completed entries in ascending seq order in a
+// circular buffer. Clients issue seqs in increasing order and complete
+// them nearly so: the common commit lands at the tail and the eviction
+// victim — the lowest seq — is always at the head, so both are O(1) and
+// allocation-free once the buffer has grown to the window's capacity. A
+// commit that completes out of order shifts only the entries above it.
+type doneRing struct {
+	buf  []doneEntry // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *doneRing) at(i int) *doneEntry { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// find returns the position of seq, or the position it would be inserted
+// at to keep the ring sorted.
+func (r *doneRing) find(seq uint64) (int, bool) {
+	if r.n == 0 || seq > r.at(r.n-1).seq {
+		return r.n, false
+	}
+	i := sort.Search(r.n, func(i int) bool { return r.at(i).seq >= seq })
+	return i, r.at(i).seq == seq
+}
+
+// put stores resp (the ring takes ownership) as seq's response, replacing
+// the previous one if seq is already present.
+func (r *doneRing) put(seq uint64, resp []byte) {
+	i, ok := r.find(seq)
+	if ok {
+		r.at(i).resp = resp
+		return
+	}
+	if r.n == len(r.buf) {
+		grown := make([]doneEntry, max(8, 2*len(r.buf)))
+		for j := 0; j < r.n; j++ {
+			grown[j] = *r.at(j)
+		}
+		r.buf, r.head = grown, 0
+	}
+	for j := r.n; j > i; j-- {
+		*r.at(j) = *r.at(j - 1)
+	}
+	r.n++
+	*r.at(i) = doneEntry{seq: seq, resp: resp}
+}
+
+// popFront removes and returns the lowest seq.
+func (r *doneRing) popFront() uint64 {
+	e := r.at(0)
+	seq := e.seq
+	*e = doneEntry{} // drop the response for the collector
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return seq
 }
 
 // NewWindow returns a dedup window keeping up to cap completed entries per
@@ -89,7 +152,7 @@ func (w *Window) cap() int {
 func (w *Window) client(id string) *clientWindow {
 	c := w.clients[id]
 	if c == nil {
-		c = &clientWindow{done: make(map[uint64][]byte), inflight: make(map[uint64]struct{})}
+		c = &clientWindow{inflight: make(map[uint64]struct{})}
 		w.clients[id] = c
 	}
 	return c
@@ -105,9 +168,9 @@ func (w *Window) Begin(client string, seq uint64) (cached []byte, state BeginSta
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	c := w.client(client)
-	if resp, ok := c.done[seq]; ok {
+	if i, ok := c.done.find(seq); ok {
 		w.replays++
-		return append([]byte(nil), resp...), StateReplay
+		return append([]byte(nil), c.done.at(i).resp...), StateReplay
 	}
 	if seq <= c.floor {
 		return nil, StateStale
@@ -129,14 +192,10 @@ func (w *Window) Commit(client string, seq uint64, resp []byte) {
 	defer w.mu.Unlock()
 	c := w.client(client)
 	delete(c.inflight, seq)
-	c.done[seq] = append([]byte(nil), resp...)
-	if len(c.done) > w.cap() {
-		seqs := det.Keys(c.done)
-		for _, s := range seqs[:len(seqs)-w.cap()] {
-			delete(c.done, s)
-			if s > c.floor {
-				c.floor = s
-			}
+	c.done.put(seq, append([]byte(nil), resp...))
+	for c.done.n > w.cap() {
+		if s := c.done.popFront(); s > c.floor {
+			c.floor = s
 		}
 	}
 }
@@ -178,7 +237,7 @@ func (w *Window) Encode() []byte {
 	ids := make([]string, 0, len(w.clients))
 	for _, id := range det.Keys(w.clients) {
 		c := w.clients[id]
-		if c.floor == 0 && len(c.done) == 0 {
+		if c.floor == 0 && c.done.n == 0 {
 			continue
 		}
 		ids = append(ids, id)
@@ -188,10 +247,11 @@ func (w *Window) Encode() []byte {
 		c := w.clients[id]
 		wr.String(id)
 		wr.Uvarint(c.floor)
-		wr.Uvarint(uint64(len(c.done)))
-		for _, seq := range det.Keys(c.done) {
-			wr.Uvarint(seq)
-			wr.BytesN(c.done[seq])
+		wr.Uvarint(uint64(c.done.n))
+		for i := 0; i < c.done.n; i++ {
+			e := c.done.at(i)
+			wr.Uvarint(e.seq)
+			wr.BytesN(e.resp)
 		}
 	}
 	return wr.Bytes()
@@ -221,7 +281,7 @@ func DecodeWindow(b []byte) (*Window, error) {
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			c.done[seq] = append([]byte(nil), resp...)
+			c.done.put(seq, append([]byte(nil), resp...))
 		}
 	}
 	return w, r.Close()

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"tell/internal/det"
 	"tell/internal/resil"
 	"tell/internal/testutil"
+	"tell/internal/wire"
 )
 
 func TestWindowExactlyOnce(t *testing.T) {
@@ -170,5 +172,247 @@ func TestDecodeWindowRejectsGarbage(t *testing.T) {
 		if _, err := resil.DecodeWindow(b); err == nil {
 			t.Errorf("DecodeWindow(%v) accepted garbage", b)
 		}
+	}
+}
+
+// refWindow is the window as it was first written — a map of completed
+// seqs per client, re-sorted in full to find the eviction victims — kept as
+// the reference model the ordered-ring implementation must agree with.
+type refWindow struct {
+	cap     int
+	clients map[string]*refClient
+	replays uint64
+}
+
+type refClient struct {
+	floor    uint64
+	done     map[uint64][]byte
+	inflight map[uint64]struct{}
+}
+
+func newRefWindow(cap int) *refWindow {
+	return &refWindow{cap: cap, clients: make(map[string]*refClient)}
+}
+
+func (w *refWindow) client(id string) *refClient {
+	c := w.clients[id]
+	if c == nil {
+		c = &refClient{done: make(map[uint64][]byte), inflight: make(map[uint64]struct{})}
+		w.clients[id] = c
+	}
+	return c
+}
+
+func (w *refWindow) Begin(client string, seq uint64) ([]byte, resil.BeginState) {
+	if seq == 0 || client == "" {
+		return nil, resil.StateNew
+	}
+	c := w.client(client)
+	if resp, ok := c.done[seq]; ok {
+		w.replays++
+		return append([]byte(nil), resp...), resil.StateReplay
+	}
+	if seq <= c.floor {
+		return nil, resil.StateStale
+	}
+	if _, ok := c.inflight[seq]; ok {
+		return nil, resil.StateInFlight
+	}
+	c.inflight[seq] = struct{}{}
+	return nil, resil.StateNew
+}
+
+func (w *refWindow) Commit(client string, seq uint64, resp []byte) {
+	if seq == 0 || client == "" {
+		return
+	}
+	c := w.client(client)
+	delete(c.inflight, seq)
+	c.done[seq] = append([]byte(nil), resp...)
+	if len(c.done) > w.cap {
+		seqs := det.Keys(c.done)
+		for _, s := range seqs[:len(seqs)-w.cap] {
+			delete(c.done, s)
+			if s > c.floor {
+				c.floor = s
+			}
+		}
+	}
+}
+
+func (w *refWindow) Abort(client string, seq uint64) {
+	if c := w.clients[client]; c != nil && seq != 0 {
+		delete(c.inflight, seq)
+	}
+}
+
+func (w *refWindow) Encode() []byte {
+	wr := wire.NewWriter(64)
+	wr.Byte(1)
+	wr.Uvarint(uint64(w.cap))
+	var ids []string
+	for _, id := range det.Keys(w.clients) {
+		if c := w.clients[id]; c.floor != 0 || len(c.done) != 0 {
+			ids = append(ids, id)
+		}
+	}
+	wr.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		c := w.clients[id]
+		wr.String(id)
+		wr.Uvarint(c.floor)
+		wr.Uvarint(uint64(len(c.done)))
+		for _, seq := range det.Keys(c.done) {
+			wr.Uvarint(seq)
+			wr.BytesN(c.done[seq])
+		}
+	}
+	return wr.Bytes()
+}
+
+// TestWindowMatchesReferenceModel drives random Begin/Commit/Abort
+// sequences — several clients, completions out of order, duplicates of
+// in-flight, completed and evicted tokens, commits of tokens the floor has
+// already passed — against the reference model. Verdicts, replayed bytes,
+// the replay count and the encoded state (which carries every floor and
+// every retained entry, in order) must agree after every step, and a
+// window decoded from that state must carry on identically.
+func TestWindowMatchesReferenceModel(t *testing.T) {
+	for _, cap := range []int{1, 4, 16} {
+		seed := testutil.Seed(t, int64(100+cap))
+		rng := rand.New(rand.NewSource(seed))
+		w, ref := resil.NewWindow(cap), newRefWindow(cap)
+		clients := []string{"pn0#1", "pn1#1", "pn1#2"}
+		next := make([]uint64, len(clients))   // highest seq issued per client
+		open := make([][]uint64, len(clients)) // tokens Begin classified new, not yet sealed
+		for step := 0; step < 4000; step++ {
+			ci := rng.Intn(len(clients))
+			client := clients[ci]
+			switch r := rng.Intn(10); {
+			case r < 4: // Begin: a fresh token, or a duplicate of a recent or long-gone one
+				var seq uint64
+				switch d := rng.Intn(4); {
+				case d == 0 && next[ci] > 0:
+					seq = 1 + uint64(rng.Int63n(int64(next[ci])))
+				case d == 1 && next[ci] > 0:
+					seq = next[ci] - uint64(rng.Int63n(int64(min(next[ci], uint64(cap+2)))))
+				default:
+					next[ci]++
+					seq = next[ci]
+				}
+				got, gotSt := w.Begin(client, seq)
+				want, wantSt := ref.Begin(client, seq)
+				if gotSt != wantSt || !bytes.Equal(got, want) {
+					t.Fatalf("seed %d cap %d step %d: Begin(%s,%d) = %q,%v, model says %q,%v",
+						seed, cap, step, client, seq, got, gotSt, want, wantSt)
+				}
+				if gotSt == resil.StateNew {
+					open[ci] = append(open[ci], seq)
+				}
+			case r < 9 && len(open[ci]) > 0: // seal any open token: commit, or abort now and then
+				k := rng.Intn(len(open[ci]))
+				seq := open[ci][k]
+				open[ci] = append(open[ci][:k], open[ci][k+1:]...)
+				if rng.Intn(8) == 0 {
+					w.Abort(client, seq)
+					ref.Abort(client, seq)
+				} else {
+					resp := []byte(fmt.Sprintf("%s/%d/%d", client, seq, step))
+					w.Commit(client, seq, resp)
+					ref.Commit(client, seq, resp)
+				}
+			default: // a commit nobody began: a replayed duplicate sealing again
+				if next[ci] == 0 {
+					continue
+				}
+				seq := 1 + uint64(rng.Int63n(int64(next[ci])))
+				resp := []byte(fmt.Sprintf("%s/%d/again%d", client, seq, step))
+				w.Commit(client, seq, resp)
+				ref.Commit(client, seq, resp)
+			}
+			if w.Replays() != ref.replays {
+				t.Fatalf("seed %d cap %d step %d: Replays = %d, model says %d", seed, cap, step, w.Replays(), ref.replays)
+			}
+			enc := w.Encode()
+			if !bytes.Equal(enc, ref.Encode()) {
+				t.Fatalf("seed %d cap %d step %d: Encode differs from the model", seed, cap, step)
+			}
+			if step%500 == 499 {
+				// Carry on from the checkpointed state. In-flight tokens are
+				// not part of it: forget them on both sides.
+				dec, err := resil.DecodeWindow(enc)
+				if err != nil {
+					t.Fatalf("seed %d cap %d step %d: DecodeWindow: %v", seed, cap, step, err)
+				}
+				w = dec
+				ref.replays = 0
+				for _, c := range ref.clients {
+					c.inflight = make(map[uint64]struct{})
+				}
+				for i := range open {
+					open[i] = nil
+				}
+			}
+		}
+	}
+}
+
+// TestWindowFullRoundTrip checks the shape the benchmark runs in: one
+// client whose window is full, so that every commit evicts. The decoded
+// window must encode to the same bytes and evict the same entry next.
+func TestWindowFullRoundTrip(t *testing.T) {
+	w, ref := fullWindow(1024), newRefWindow(1024)
+	for seq := uint64(1); seq <= 1025; seq++ {
+		ref.Commit("pn0#1", seq, fullResp(seq))
+	}
+	enc := w.Encode()
+	if !bytes.Equal(enc, ref.Encode()) {
+		t.Fatal("full window encodes differently from the model")
+	}
+	dec, err := resil.DecodeWindow(enc)
+	if err != nil {
+		t.Fatalf("DecodeWindow: %v", err)
+	}
+	if !bytes.Equal(dec.Encode(), enc) {
+		t.Fatal("full window round trip is not a fixpoint")
+	}
+	dec.Begin("pn0#1", 1026)
+	dec.Commit("pn0#1", 1026, fullResp(1026))
+	ref.Commit("pn0#1", 1026, fullResp(1026))
+	if !bytes.Equal(dec.Encode(), ref.Encode()) {
+		t.Fatal("decoded full window evicted differently from the model")
+	}
+	if _, st := dec.Begin("pn0#1", 2); st != resil.StateStale {
+		t.Fatalf("seq 2 after two evictions = %v, want stale", st)
+	}
+	if got, st := dec.Begin("pn0#1", 3); st != resil.StateReplay || !bytes.Equal(got, fullResp(3)) {
+		t.Fatalf("seq 3 = %q,%v, want its replay", got, st)
+	}
+}
+
+func fullResp(seq uint64) []byte { return []byte(fmt.Sprintf("result-of-write-%08d", seq)) }
+
+// fullWindow returns a window whose one client has completed cap+1 tokens:
+// full, with the first eviction behind it.
+func fullWindow(cap int) *resil.Window {
+	w := resil.NewWindow(cap)
+	for seq := uint64(1); seq <= uint64(cap)+1; seq++ {
+		w.Begin("pn0#1", seq)
+		w.Commit("pn0#1", seq, fullResp(seq))
+	}
+	return w
+}
+
+// BenchmarkWindowCommitFull is the steady state of a long run: the client's
+// window holds its 1,024 entries and every tokened write evicts one.
+func BenchmarkWindowCommitFull(b *testing.B) {
+	w := fullWindow(1024)
+	resp := fullResp(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := uint64(1026 + i)
+		w.Begin("pn0#1", seq)
+		w.Commit("pn0#1", seq, resp)
 	}
 }

@@ -75,6 +75,7 @@ type Client struct {
 	conns    map[string]transport.Conn
 	batchers map[string]*batcher
 	batching bool
+	closed   bool
 	seq      uint64 // idempotency-token sequence (per client, never reused)
 
 	// clientID names this client in idempotency tokens; unique per
@@ -140,11 +141,16 @@ func (c *Client) nextSeq() uint64 {
 // ablation experiment turns it off).
 func (c *Client) SetBatching(on bool) { c.batching = on }
 
+// ErrClosed is returned by operations issued after Close.
+var ErrClosed = errors.New("store: client closed")
+
 // Close shuts down the client's batcher activities and connections.
-// In-flight operations may fail; the client must not be used afterwards.
+// In-flight operations may fail; operations issued afterwards fail with
+// ErrClosed.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	// Closing wakes blocked batcher activities; do it in sorted order so
 	// the kernel sees the same wake-up sequence every run.
 	for _, addr := range det.Keys(c.batchers) {
@@ -242,11 +248,15 @@ func (c *Client) cachedEpoch() uint64 {
 	return c.pmap.Epoch
 }
 
-// pmapLocked returns the cached map, fetching it on first use.
+// getMap returns the cached map, fetching it on first use. Every operation
+// starts here, so this is also where a closed client turns callers away.
 func (c *Client) getMap(ctx env.Ctx) (*PartitionMap, error) {
 	c.mu.Lock()
-	pm := c.pmap
+	pm, closed := c.pmap, c.closed
 	c.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	if pm != nil {
 		return pm, nil
 	}
@@ -268,7 +278,11 @@ func (c *Client) conn(addr string) (transport.Conn, error) {
 		c.mu.Unlock()
 		return conn, nil
 	}
+	closed := c.closed
 	c.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	// Dial outside the lock: a slow dial (TCP under faults) must not stall
 	// every other connection lookup.
 	conn, err := c.tr.Dial(c.node, addr)
@@ -282,6 +296,12 @@ func (c *Client) conn(addr string) (transport.Conn, error) {
 		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
 		conn.Close()
 		return exist, nil
+	}
+	if c.closed {
+		// Close ran during the dial and will not see this connection.
+		//lint:allow errdiscard closing a just-dialed connection nothing was sent on
+		conn.Close()
+		return nil, ErrClosed
 	}
 	c.conns[addr] = conn
 	return conn, nil
@@ -354,23 +374,31 @@ func (b *batcher) window() time.Duration {
 	return time.Duration(uint64(bw) * scaled / full8)
 }
 
-func (c *Client) batcherFor(addr string) *batcher {
+// enqueue hands p to the batcher for addr, starting it on first use. The
+// put happens under c.mu, as Close's closing of the queues does: a closed
+// queue drops what is put on it, so an op that slipped in after Close would
+// leave its future unset for ever.
+func (c *Client) enqueue(addr string, p *pendingOp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b, ok := c.batchers[addr]; ok {
-		return b
+	if c.closed {
+		return ErrClosed
 	}
-	b := &batcher{c: c, addr: addr, q: c.envr.NewQueue()}
-	b.mu.SetName("store.batcher.mu")
-	c.batchers[addr] = b
-	n := c.Senders
-	if n < 1 {
-		n = 1
+	b, ok := c.batchers[addr]
+	if !ok {
+		b = &batcher{c: c, addr: addr, q: c.envr.NewQueue()}
+		b.mu.SetName("store.batcher.mu")
+		c.batchers[addr] = b
+		n := c.Senders
+		if n < 1 {
+			n = 1
+		}
+		for i := 0; i < n; i++ {
+			c.node.Go("batcher:"+addr, b.run)
+		}
 	}
-	for i := 0; i < n; i++ {
-		c.node.Go("batcher:"+addr, b.run)
-	}
-	return b
+	b.q.Put(p)
+	return nil
 }
 
 func (b *batcher) run(ctx env.Ctx) {
@@ -562,8 +590,10 @@ func (c *Client) execBatch(ctx env.Ctx, ops []wire.Op) ([]wire.Result, error) {
 				p.span = sc.Span
 				p.enq = ctx.Now()
 			}
+			if err := c.enqueue(addr, p); err != nil {
+				return nil, err
+			}
 			futs[i] = p.fut
-			c.batcherFor(addr).q.Put(p)
 		} else {
 			if directs == nil {
 				directs = make(map[string]*direct)
@@ -725,6 +755,9 @@ func (c *Client) Exec(ctx env.Ctx, ops []wire.Op) ([]wire.Result, error) {
 			sub[k] = ops[i]
 		}
 		subResults, err := c.execBatch(ctx, sub)
+		if errors.Is(err, ErrClosed) {
+			return nil, err
+		}
 		if err != nil {
 			continue
 		}
@@ -829,8 +862,8 @@ func (c *Client) Scan(ctx env.Ctx, lo, hi []byte, limit int, reverse bool) ([]wi
 			}
 		}
 		pairs, err := c.scanOnce(ctx, lo, hi, limit, reverse)
-		if err == nil {
-			return pairs, nil
+		if err == nil || errors.Is(err, ErrClosed) {
+			return pairs, err
 		}
 		lastErr = err
 	}
@@ -923,8 +956,8 @@ func (c *Client) ScanFiltered(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, limit 
 			}
 		}
 		pairs, err := c.scanFilteredOnce(ctx, lo, hi, spec, limit)
-		if err == nil {
-			return pairs, nil
+		if err == nil || errors.Is(err, ErrClosed) {
+			return pairs, err
 		}
 		lastErr = err
 	}

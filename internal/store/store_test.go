@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -569,6 +570,57 @@ func TestClientWorksOverLocalNet(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestExecAfterCloseFails: an operation issued on a closed client must come
+// back with ErrClosed — on the batching path it used to be put on a closed
+// queue, which drops it, and wait for ever on a future nobody would set.
+func TestExecAfterCloseFails(t *testing.T) {
+	check := func(ctx env.Ctx, client *store.Client) error {
+		if _, err := client.Put(ctx, []byte("k"), []byte("v")); err != nil {
+			return fmt.Errorf("put before close: %v", err)
+		}
+		client.Close()
+		if _, err := client.Put(ctx, []byte("k"), []byte("v2")); !errors.Is(err, store.ErrClosed) {
+			return fmt.Errorf("put after close: %v, want ErrClosed", err)
+		}
+		if _, _, err := client.Get(ctx, []byte("k")); !errors.Is(err, store.ErrClosed) {
+			return fmt.Errorf("get after close: %v, want ErrClosed", err)
+		}
+		if _, err := client.Scan(ctx, nil, nil, 10, false); !errors.Is(err, store.ErrClosed) {
+			return fmt.Errorf("scan after close: %v, want ErrClosed", err)
+		}
+		return nil
+	}
+	t.Run("sim", func(t *testing.T) {
+		h := newHarness(t, store.ClusterConfig{NumNodes: 2})
+		defer h.close()
+		h.run(t, func(ctx env.Ctx) {
+			if err := check(ctx, h.client); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	t.Run("real", func(t *testing.T) {
+		envr := env.NewReal(1)
+		cl, err := store.NewCluster(envr, transport.NewLocalNet(), store.ClusterConfig{NumNodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Manager.Stop()
+		pn := envr.NewNode("pn0", 2)
+		client := cl.NewClient(pn)
+		done := make(chan error, 1)
+		pn.Go("test", func(ctx env.Ctx) { done <- check(ctx, client) })
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("operation on a closed client did not return")
+		}
+	})
 }
 
 func TestNodeRejectsMalformedRequests(t *testing.T) {

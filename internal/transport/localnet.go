@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"tell/internal/env"
@@ -69,16 +70,16 @@ type localConn struct {
 	net    *LocalNet
 	src    env.Node
 	dst    string
-	closed bool
+	closed atomic.Bool // Close may run while round trips are in flight
 }
 
 func (c *localConn) Close() error {
-	c.closed = true
+	c.closed.Store(true)
 	return nil
 }
 
 func (c *localConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
-	if c.closed {
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 	n := c.net

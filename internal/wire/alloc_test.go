@@ -66,6 +66,30 @@ func TestEncodePutBufZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEncodeSizedOneAlloc pins the cold encode — nobody recycles buffers,
+// which is every encode under the simulated network — at one allocation: a
+// response larger than any default buffer takes one buffer of its encoded
+// size instead of growing a small one by doubling. With a recycling
+// transport the same response encodes without touching the heap.
+func TestEncodeSizedOneAlloc(t *testing.T) {
+	resp := &StoreResponse{Status: StatusOK, Epoch: 7, Results: make([]Result, 16)}
+	for i := range resp.Results {
+		resp.Results[i] = Result{Status: StatusOK, Val: make([]byte, 200), Stamp: uint64(i + 1)}
+	}
+	if enc := resp.Encode(); cap(enc) != len(enc) {
+		t.Fatalf("cold Encode took a %d-byte buffer for %d bytes", cap(enc), len(enc))
+	}
+	if n := testing.AllocsPerRun(200, func() { resp.Encode() }); n != 1 {
+		t.Fatalf("cold StoreResponse Encode allocates %.1f times per op, want 1 (the buffer)", n)
+	}
+	for i := 0; i < 8; i++ {
+		PutBuf(resp.Encode())
+	}
+	if n := testing.AllocsPerRun(200, func() { PutBuf(resp.Encode()) }); n != 0 {
+		t.Fatalf("warm StoreResponse Encode+PutBuf allocates %.1f times per op, want 0", n)
+	}
+}
+
 // TestDecodeFromZeroAlloc pins in-place decoding at zero steady-state
 // allocations: decoding into a long-lived message whose slices have
 // capacity must not touch the heap (pair-free responses — the point-op hot
@@ -103,7 +127,7 @@ func TestDecodeFromZeroAlloc(t *testing.T) {
 func TestPutBufRejectsOutOfBand(t *testing.T) {
 	shared := []byte{byte(KindReplicateResp), byte(StatusOK)}
 	PutBuf(shared) // must be a no-op: cap < minPooledCap
-	b := getBuf()
+	b := getBuf(defaultBufCap)
 	if cap(b) >= minPooledCap && &b[:1][0] == &shared[:1][0] {
 		t.Fatal("pool returned the shared literal buffer")
 	}

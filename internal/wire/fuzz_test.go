@@ -53,6 +53,9 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeStoreRequest(data); err == nil {
 			e1 := m.Encode()
+			if len(e1) != m.encodedLen() {
+				t.Fatalf("StoreRequest encodedLen = %d, encoded %d bytes", m.encodedLen(), len(e1))
+			}
 			m2, err := DecodeStoreRequest(e1)
 			if err != nil {
 				t.Fatalf("re-decode StoreRequest: %v", err)
@@ -63,6 +66,9 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if m, err := DecodeStoreResponse(data); err == nil {
 			e1 := m.Encode()
+			if len(e1) != m.encodedLen() {
+				t.Fatalf("StoreResponse encodedLen = %d, encoded %d bytes", m.encodedLen(), len(e1))
+			}
 			m2, err := DecodeStoreResponse(e1)
 			if err != nil {
 				t.Fatalf("re-decode StoreResponse: %v", err)

@@ -224,7 +224,7 @@ type StoreResponse struct {
 // hand it to PutBuf when its bytes are dead to close the loop (optional —
 // see pool.go for the ownership rules).
 func (m *StoreRequest) Encode() []byte {
-	w := GetWriter()
+	w := getWriter(m.encodedLen())
 	w.Byte(byte(KindStoreReq))
 	w.Uvarint(m.Epoch)
 	w.String(m.Client)
@@ -233,6 +233,16 @@ func (m *StoreRequest) Encode() []byte {
 		encodeOp(w, &m.Ops[i])
 	}
 	return w.Finish()
+}
+
+// encodedLen is len(m.Encode()), computed without encoding, so that Encode
+// can take one buffer of the right size instead of growing one.
+func (m *StoreRequest) encodedLen() int {
+	n := 1 + UvarintLen(m.Epoch) + bytesNLen(len(m.Client)) + UvarintLen(uint64(len(m.Ops)))
+	for i := range m.Ops {
+		n += opLen(&m.Ops[i])
+	}
+	return n
 }
 
 func encodeOp(w *Writer, op *Op) {
@@ -263,6 +273,28 @@ func encodeOp(w *Writer, op *Op) {
 		w.Uvarint(uint64(op.Limit))
 		w.BytesN(op.Val)
 	}
+}
+
+// opLen is the number of bytes encodeOp writes for op.
+func opLen(op *Op) int {
+	n := 1 + bytesNLen(len(op.Key))
+	switch op.Code {
+	case OpGet:
+		n++
+	case OpPut:
+		n += bytesNLen(len(op.Val)) + UvarintLen(op.Seq)
+	case OpCondPut:
+		n += bytesNLen(len(op.Val)) + UvarintLen(op.Stamp) + UvarintLen(op.Seq)
+	case OpDelete:
+		n += UvarintLen(op.Stamp) + UvarintLen(op.Seq)
+	case OpCounterAdd:
+		n += varintLen(op.Delta) + UvarintLen(op.Seq)
+	case OpScan:
+		n += bytesNLen(len(op.EndKey)) + UvarintLen(uint64(op.Limit)) + 1
+	case OpScanFiltered:
+		n += bytesNLen(len(op.EndKey)) + UvarintLen(uint64(op.Limit)) + bytesNLen(len(op.Val))
+	}
+	return n
 }
 
 func decodeOp(r *Reader, op *Op) {
@@ -349,6 +381,17 @@ func EncodeResult(w *Writer, res *Result) {
 	}
 }
 
+// resultLen is the number of bytes EncodeResult writes for res.
+func resultLen(res *Result) int {
+	n := 1 + bytesNLen(len(res.Val)) + UvarintLen(res.Stamp) + varintLen(res.Count) +
+		UvarintLen(uint64(len(res.Pairs)))
+	for i := range res.Pairs {
+		p := &res.Pairs[i]
+		n += bytesNLen(len(p.Key)) + bytesNLen(len(p.Val)) + UvarintLen(p.Stamp)
+	}
+	return n
+}
+
 // DecodeResult reads one Result written by EncodeResult into res,
 // overwriting all fields. Decoded slices alias the reader's buffer.
 func DecodeResult(r *Reader, res *Result) {
@@ -370,7 +413,7 @@ func DecodeResult(r *Reader, res *Result) {
 
 // Encode serializes the response into a pool-backed buffer (see pool.go).
 func (m *StoreResponse) Encode() []byte {
-	w := GetWriter()
+	w := getWriter(m.encodedLen())
 	w.Byte(byte(KindStoreResp))
 	w.Byte(byte(m.Status))
 	w.Uvarint(m.Epoch)
@@ -380,6 +423,15 @@ func (m *StoreResponse) Encode() []byte {
 	}
 	w.BytesN(m.Map)
 	return w.Finish()
+}
+
+// encodedLen is len(m.Encode()), computed without encoding.
+func (m *StoreResponse) encodedLen() int {
+	n := 2 + UvarintLen(m.Epoch) + UvarintLen(uint64(len(m.Results))) + bytesNLen(len(m.Map))
+	for i := range m.Results {
+		n += resultLen(&m.Results[i])
+	}
+	return n
 }
 
 // DecodeStoreResponse parses an encoded StoreResponse.

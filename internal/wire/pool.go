@@ -26,8 +26,8 @@ package wire
 import "sync"
 
 const (
-	// defaultBufCap seeds new pool buffers; typical requests (a handful of
-	// ops) and responses fit without growing.
+	// defaultBufCap seeds the buffers of messages that do not size
+	// themselves; typical control messages fit without growing.
 	defaultBufCap = 512
 	// minPooledCap guards against pooling tiny fixed responses (Pong, acks)
 	// that are often shared package-level literals.
@@ -51,16 +51,16 @@ var (
 
 // GetWriter returns a pooled Writer backed by a pooled (or fresh) buffer.
 // Pair it with Finish.
-func GetWriter() *Writer {
+func GetWriter() *Writer { return getWriter(defaultBufCap) }
+
+// getWriter is GetWriter for a message whose encoded size is known: the
+// buffer holds size bytes without growing.
+func getWriter(size int) *Writer {
 	w, _ := writerPool.Get().(*Writer)
 	if w == nil {
 		w = new(Writer)
 	}
-	if w.buf == nil {
-		w.buf = getBuf()
-	} else {
-		w.buf = w.buf[:0]
-	}
+	w.buf = getBuf(size)
 	return w
 }
 
@@ -90,12 +90,18 @@ func PutBuf(b []byte) {
 	bufPool.Put(p)
 }
 
-func getBuf() []byte {
+// getBuf returns an empty buffer of at least the given capacity. A pooled
+// buffer that is too small is dropped, not returned to the pool, so a warm
+// pool converges on buffers that fit the traffic. A fresh buffer is exactly
+// the size asked for (but never too small to be pooled later).
+func getBuf(size int) []byte {
 	if p, _ := bufPool.Get().(*pbuf); p != nil {
 		b := p.b
 		p.b = nil
 		wrapPool.Put(p)
-		return b
+		if cap(b) >= size {
+			return b
+		}
 	}
-	return make([]byte, 0, defaultBufCap)
+	return make([]byte, 0, max(size, minPooledCap))
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrTruncated is returned when a message ends before its declared content.
@@ -57,11 +58,17 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// Bytes8 appends b length-prefixed with a uvarint.
+// BytesN appends b length-prefixed with a uvarint.
 func (w *Writer) BytesN(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
 }
+
+// UvarintLen is the number of bytes Uvarint appends for v. With varintLen
+// and bytesNLen it lets a message compute its encoded size before encoding.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func varintLen(v int64) int   { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+func bytesNLen(n int) int     { return UvarintLen(uint64(n)) + n }
 
 // String appends s length-prefixed with a uvarint.
 func (w *Writer) String(s string) {

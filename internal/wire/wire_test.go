@@ -208,6 +208,9 @@ func TestVarintPropertyRoundTrip(t *testing.T) {
 		w.Varint(v)
 		w.BytesN(b)
 		w.String(s)
+		if w.Len() != UvarintLen(u)+varintLen(v)+bytesNLen(len(b))+bytesNLen(len(s)) {
+			return false
+		}
 		r := NewReader(w.Bytes())
 		gu := r.Uvarint()
 		gv := r.Varint()
@@ -235,8 +238,9 @@ func TestStoreRequestPropertyRoundTrip(t *testing.T) {
 			ops = append(ops, op)
 		}
 		req := &StoreRequest{Epoch: epoch, Ops: ops}
-		got, err := DecodeStoreRequest(req.Encode())
-		if err != nil || got.Epoch != epoch || len(got.Ops) != len(ops) {
+		enc := req.Encode()
+		got, err := DecodeStoreRequest(enc)
+		if err != nil || len(enc) != req.encodedLen() || got.Epoch != epoch || len(got.Ops) != len(ops) {
 			return false
 		}
 		for i := range ops {

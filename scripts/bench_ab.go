@@ -1,0 +1,219 @@
+//go:build ignore
+
+// bench_ab runs the repository benchmark on a base revision and on the
+// working tree in interleaved pairs — the protocol bench/README.md asks every
+// host-clock claim to use — and prints, per end-to-end metric, each side's
+// median and quartiles and how many pairs the working tree won.
+//
+//	go run scripts/bench_ab.go -base <rev> [-workload tpcc-std] [-pairs 10]
+//	make bench-ab BASE=<rev> [W=tpcc-std] [PAIRS=10]
+//
+// The base revision is exported (git archive) into a temporary directory and
+// built there by its own bench/run.sh, so each side runs the benchmark code of
+// its own tree. Pair i uses seed 41+i on both sides; odd pairs run the base
+// first, even pairs the working tree. At equal seeds every virtual-clock
+// metric is deterministic, so any difference between the sides on one of them
+// is reported and makes the exit status non-zero: a host-clock optimisation
+// must not move them, and a change that does move them needs its own claim.
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+// hostClock names the end-to-end metrics measured on the host; every other
+// metric in BENCHMARK.json is on the simulator's virtual clock.
+var hostClock = map[string]bool{
+	"setup_s": true, "host_us_per_txn": true, "host_allocs_per_txn": true, "peak_rss_mb": true,
+}
+
+type metricSpec struct {
+	Name   string `json:"name"`
+	Unit   string `json:"unit"`
+	Better string `json:"better"`
+}
+
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+func main() {
+	base := flag.String("base", "", "revision to compare the working tree against (required)")
+	workload := flag.String("workload", "tpcc-std", "benchmark workload")
+	pairs := flag.Int("pairs", 10, "interleaved base/change pairs to run")
+	flag.Parse()
+	if *base == "" || *pairs < 1 || flag.NArg() != 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, *base, *workload, *pairs)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench-ab:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, base, workload string, pairs int) error {
+	out, err := exec.CommandContext(ctx, "git", "rev-parse", "--show-toplevel").Output()
+	if err != nil {
+		return fmt.Errorf("not inside a git checkout: %w", err)
+	}
+	changeDir := strings.TrimSpace(string(out))
+	specs, err := readSpec(filepath.Join(changeDir, "BENCHMARK.json"))
+	if err != nil {
+		return err
+	}
+
+	baseDir, err := os.MkdirTemp("", "bench-ab-base-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(baseDir)
+	export := exec.CommandContext(ctx, "sh", "-c", `git -C "$1" archive --format=tar "$2" | tar -x -C "$3"`,
+		"sh", changeDir, base, baseDir)
+	export.Stderr = os.Stderr
+	if err := export.Run(); err != nil {
+		return fmt.Errorf("exporting %s: %w", base, err)
+	}
+
+	var baseRuns, changeRuns []result
+	var moved []string
+	for i := 1; i <= pairs; i++ {
+		seed := 41 + i
+		sides := []string{baseDir, changeDir}
+		if i%2 == 0 {
+			sides[0], sides[1] = sides[1], sides[0]
+		}
+		got := map[string]result{}
+		for _, dir := range sides {
+			r, err := benchRun(ctx, dir, workload, seed)
+			if err != nil {
+				return fmt.Errorf("pair %d, %s: %w", i, dir, err)
+			}
+			got[dir] = r
+		}
+		b, c := got[baseDir], got[changeDir]
+		baseRuns, changeRuns = append(baseRuns, b), append(changeRuns, c)
+		fmt.Printf("pair %2d seed %d: host_us_per_txn base %.0f change %.0f\n", i, seed,
+			b.Metrics["host_us_per_txn"].Value, c.Metrics["host_us_per_txn"].Value)
+		if b.Attempted != c.Attempted || b.Failed != c.Failed {
+			moved = append(moved, fmt.Sprintf("seed %d: attempted/failed %d/%d -> %d/%d",
+				seed, b.Attempted, b.Failed, c.Attempted, c.Failed))
+		}
+		for _, s := range specs {
+			if bv, cv := b.Metrics[s.Name].Value, c.Metrics[s.Name].Value; !hostClock[s.Name] && bv != cv {
+				moved = append(moved, fmt.Sprintf("seed %d: %s %v -> %v", seed, s.Name, bv, cv))
+			}
+		}
+	}
+
+	fmt.Printf("\n%s, %d pairs, base %s; median [q1, q3]; a gain needs wins >= 9/10 of the pairs and a median gap above the base's q3-q1\n",
+		workload, pairs, base)
+	fmt.Printf("%-20s %-6s %-34s %-34s %8s  %s\n", "metric", "unit", "base", "change", "Δmedian", "wins/ties/losses")
+	for _, s := range specs {
+		bs, cs := column(baseRuns, s.Name), column(changeRuns, s.Name)
+		wins, ties := 0, 0
+		for i := range bs {
+			switch {
+			case bs[i] == cs[i]:
+				ties++
+			case (cs[i] < bs[i]) == (s.Better == "lower"):
+				wins++
+			}
+		}
+		bq, cq := quartiles(bs), quartiles(cs)
+		verdict := ""
+		gap := cq[1] - bq[1]
+		if s.Better == "lower" {
+			gap = -gap
+		}
+		if hostClock[s.Name] && wins*10 >= 9*pairs && gap > bq[2]-bq[0] {
+			verdict = "  gain"
+		}
+		fmt.Printf("%-20s %-6s %-34s %-34s %+7.1f%%  %d/%d/%d%s\n", s.Name, s.Unit,
+			fmt.Sprintf("%.6g [%.6g, %.6g]", bq[1], bq[0], bq[2]),
+			fmt.Sprintf("%.6g [%.6g, %.6g]", cq[1], cq[0], cq[2]),
+			100*(cq[1]-bq[1])/bq[1], wins, ties, pairs-wins-ties, verdict)
+	}
+	if len(moved) > 0 {
+		return fmt.Errorf("virtual-clock results differ between %s and the working tree at equal seeds:\n  %s",
+			base, strings.Join(moved, "\n  "))
+	}
+	fmt.Println("virtual-clock metrics identical on every pair")
+	return nil
+}
+
+func readSpec(path string) ([]metricSpec, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var spec struct {
+		EndToEnd []metricSpec `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec.EndToEnd, nil
+}
+
+// benchRun is one untraced run of the tree in dir; the result object is the
+// last line the benchmark prints.
+func benchRun(ctx context.Context, dir, workload string, seed int) (result, error) {
+	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", workload,
+		"--seed", fmt.Sprint(seed), "--seconds", "20", "--trace", "0")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return result{}, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	var r result
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
+		return result{}, fmt.Errorf("result line: %w", err)
+	}
+	if !r.Correct {
+		return result{}, fmt.Errorf("run reported correct=false")
+	}
+	return r, nil
+}
+
+func column(runs []result, name string) []float64 {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = r.Metrics[name].Value
+	}
+	return vs
+}
+
+// quartiles returns q1, the median and q3 of vs (linear interpolation
+// between order statistics).
+func quartiles(vs []float64) [3]float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	var q [3]float64
+	for i, p := range []float64{0.25, 0.5, 0.75} {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(s)-1)
+		q[i] = s[lo] + (pos-float64(lo))*(s[hi]-s[lo])
+	}
+	return q
+}
