@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -117,17 +118,20 @@ func (b *Blob) Get(ctx env.Ctx, name string) ([]byte, error) {
 	return data, nil
 }
 
-// List returns durable object names with the prefix, sorted.
+// List returns durable object names with the prefix, sorted. It filters
+// before it sorts: the store holds every node's segments and chunks, and a
+// caller lists one node's.
 func (b *Blob) List(ctx env.Ctx, prefix string) ([]string, error) {
 	b.wait(ctx, 0)
 	b.mu.Lock()
 	var out []string
-	for _, name := range det.Keys(b.objects) {
+	for name := range b.objects {
 		if strings.HasPrefix(name, prefix) {
 			out = append(out, name)
 		}
 	}
 	b.mu.Unlock()
+	sort.Strings(out)
 	return out, nil
 }
 

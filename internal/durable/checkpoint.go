@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"strings"
 
 	"tell/internal/env"
@@ -95,20 +98,47 @@ func decodeManifest(b []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// encodeChunk frames a batch of cells: [magic][crc32][count][cells...].
-func encodeChunk(cells []wire.Mutation) []byte {
-	w := wire.NewWriter(64 * len(cells))
-	w.Uvarint(uint64(len(cells)))
-	for i := range cells {
-		appendMutation(w, &cells[i])
-	}
-	p := w.Bytes()
-	out := make([]byte, 0, len(p)+5)
-	out = append(out, ckptMagic)
-	var crc [4]byte
-	putU32(crc[:], crc32.ChecksumIEEE(p))
-	out = append(out, crc[:]...)
-	return append(out, p...)
+// chunkHdrReserve is the space a chunkWriter keeps free in front of the
+// cells for the chunk header, whose length is only known once the cell count
+// is: magic + CRC (5 bytes) plus a count varint of at most 10.
+const chunkHdrReserve = 16
+
+// chunkWriter encodes checkpoint chunks — [magic][crc32][count][cells...] —
+// into one buffer reused across the chunks of a checkpoint. Cells are
+// appended behind a reserved gap; finish writes the header right-aligned
+// into the gap, so a chunk is encoded exactly once and never copied.
+type chunkWriter struct {
+	w     *wire.Writer
+	cells uint64
+	bytes int // 16+len(key)+len(val) summed over cells: the size rule
+}
+
+func newChunkWriter(capacity int) *chunkWriter {
+	c := &chunkWriter{w: wire.NewWriter(chunkHdrReserve + capacity)}
+	c.w.U64(0)
+	c.w.U64(0)
+	return c
+}
+
+func (c *chunkWriter) add(m *wire.Mutation) {
+	appendMutation(c.w, m)
+	c.cells++
+	c.bytes += 16 + len(m.Key) + len(m.Val)
+}
+
+// finish frames the cells added since the last finish and returns the chunk,
+// which aliases the writer's buffer: it is valid until the next add.
+func (c *chunkWriter) finish() []byte {
+	buf := c.w.Bytes()
+	var cnt [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(cnt[:], c.cells)
+	start := chunkHdrReserve - n - 5
+	copy(buf[start+5:], cnt[:n])
+	buf[start] = ckptMagic
+	putU32(buf[start+1:start+5], crc32.ChecksumIEEE(buf[start+5:]))
+	c.w.Truncate(chunkHdrReserve)
+	c.cells, c.bytes = 0, 0
+	return buf[start:]
 }
 
 // DecodeChunk feeds every cell in a checkpoint chunk to fn. Chunks are
@@ -140,42 +170,75 @@ func IsChunk(ns, name string) bool {
 	return strings.HasPrefix(name, ns+"/ckpt/") && strings.Contains(name, "/chunk-")
 }
 
-// WriteCheckpoint writes cells as man.Seq's chunk objects, then atomically
+// CellSource is where WriteCheckpoint pulls the image from. One call emits,
+// in ascending key order, every cell with key > after (every cell when after
+// is nil) until emit returns false. The source takes whatever lock guards
+// the cells for the duration of one call and no longer, so emit never blocks;
+// the mutation it emits may alias the guarded memory and is valid only
+// during emit. A source whose cells were replaced wholesale since the walk
+// began (a crash, a recovery) must return an error: the chunks already written
+// and the cells it would emit now are not one image.
+type CellSource func(after []byte, emit func(m wire.Mutation) bool) error
+
+// SliceSource serves a key-ordered cell slice as a CellSource.
+func SliceSource(cells []wire.Mutation) CellSource {
+	return func(after []byte, emit func(wire.Mutation) bool) error {
+		i := 0
+		if after != nil {
+			i = sort.Search(len(cells), func(i int) bool { return bytes.Compare(cells[i].Key, after) > 0 })
+		}
+		for i < len(cells) && emit(cells[i]) {
+			i++
+		}
+		return nil
+	}
+}
+
+// WriteCheckpoint streams src into man.Seq's chunk objects, then atomically
 // installs the manifest, then garbage-collects chunks of older generations.
-// man.Chunks and man.Cells are filled in. chunkBytes bounds chunk size
-// (default 64 KiB); the last write is the manifest, so a crash at any
-// boundary leaves a consistent previous generation.
-func WriteCheckpoint(ctx env.Ctx, be Backend, ns string, man *Manifest, cells []wire.Mutation, chunkBytes int) error {
+// Each chunk is one src call: cells are encoded straight into a reused
+// buffer until the chunk reaches chunkBytes (default 64 KiB; the crossing
+// cell is included), the chunk is Put with the source's lock released, and
+// the next call resumes after the last key written — so the image is fuzzy
+// across chunks as well as against the log, which the manifest floor and
+// cell stamps already cover. man.Stamp, man.Chunks and man.Cells are filled
+// in. The last write is the manifest, so a crash at any boundary — or an
+// error from src, which abandons the generation before its manifest — leaves
+// a consistent previous generation.
+func WriteCheckpoint(ctx env.Ctx, be Backend, ns string, man *Manifest, src CellSource, chunkBytes int) error {
 	if chunkBytes <= 0 {
 		chunkBytes = 64 << 10
 	}
-	man.Cells = uint64(len(cells))
-	man.Chunks = 0
-	start := 0
-	bytes := 0
-	flush := func(end int) error {
-		if end == start {
-			return nil
+	man.Stamp, man.Cells, man.Chunks = 0, 0, 0
+	cw := newChunkWriter(chunkBytes)
+	var after []byte              // nil: the first call starts at the smallest key
+	cursor := make([]byte, 0, 64) // never nil, so an empty key cannot restart the walk
+	emit := func(m wire.Mutation) bool {
+		cw.add(&m)
+		if m.Stamp > man.Stamp {
+			man.Stamp = m.Stamp
 		}
+		if cw.bytes < chunkBytes {
+			return true
+		}
+		cursor = append(cursor[:0], m.Key...)
+		after = cursor
+		return false
+	}
+	for full := true; full; {
+		if err := src(after, emit); err != nil {
+			return err
+		}
+		if cw.cells == 0 {
+			break
+		}
+		full = cw.bytes >= chunkBytes // else the source ran dry: this is the last chunk
+		man.Cells += cw.cells
 		name := chunkName(ns, man.Seq, int(man.Chunks))
-		if err := be.Put(ctx, name, encodeChunk(cells[start:end])); err != nil {
+		if err := be.Put(ctx, name, cw.finish()); err != nil {
 			return err
 		}
 		man.Chunks++
-		start = end
-		bytes = 0
-		return nil
-	}
-	for i := range cells {
-		bytes += 16 + len(cells[i].Key) + len(cells[i].Val)
-		if bytes >= chunkBytes {
-			if err := flush(i + 1); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(len(cells)); err != nil {
-		return err
 	}
 	if err := be.Put(ctx, manifestName(ns), encodeManifest(man)); err != nil {
 		return err

@@ -36,6 +36,10 @@ var ErrNotExist = errors.New("durable: object does not exist")
 // crash concurrent with Put leaves either the old object or the new one,
 // never a mix. These are exactly the boundaries the crash-point test
 // harness enumerates.
+//
+// Put and Append must not retain data after they return: callers reuse the
+// buffer (the checkpoint writer encodes every chunk into the same one), so an
+// implementation that keeps the bytes copies them.
 type Backend interface {
 	// Put atomically creates or replaces the object.
 	Put(ctx env.Ctx, name string, data []byte) error

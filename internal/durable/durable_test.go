@@ -240,8 +240,8 @@ func TestCheckpointWriteLoadGC(t *testing.T) {
 			{Key: []byte("d"), Deleted: true, Stamp: 7},
 			mut("e", "payload-payload-payload", 8),
 		}
-		man := &Manifest{Seq: 1, Floor: 3, LSN: 17, Stamp: 8, Fence: 1234}
-		if err := WriteCheckpoint(ctx, be, "sn0", man, cells, 24); err != nil {
+		man := &Manifest{Seq: 1, Floor: 3, LSN: 17, Fence: 1234}
+		if err := WriteCheckpoint(ctx, be, "sn0", man, SliceSource(cells), 24); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
@@ -255,7 +255,7 @@ func TestCheckpointWriteLoadGC(t *testing.T) {
 			t.Errorf("load: %v", err)
 			return
 		}
-		if loaded.Seq != 1 || loaded.Floor != 3 || loaded.Fence != 1234 || loaded.Cells != 4 {
+		if loaded.Seq != 1 || loaded.Floor != 3 || loaded.Fence != 1234 || loaded.Cells != 4 || loaded.Stamp != 8 {
 			t.Errorf("manifest mismatch: %+v", loaded)
 		}
 		if len(got) != len(cells) {
@@ -270,7 +270,7 @@ func TestCheckpointWriteLoadGC(t *testing.T) {
 
 		// A second generation replaces the first and GCs its chunks.
 		man2 := &Manifest{Seq: 2, Floor: 9, LSN: 30, Stamp: 20}
-		if err := WriteCheckpoint(ctx, be, "sn0", man2, cells[:1], 0); err != nil {
+		if err := WriteCheckpoint(ctx, be, "sn0", man2, SliceSource(cells[:1]), 0); err != nil {
 			t.Errorf("write gen2: %v", err)
 			return
 		}
@@ -305,7 +305,7 @@ func TestRecoveryObjects(t *testing.T) {
 		}
 		floor, _ := w.Position()
 		man := &Manifest{Seq: 1, Floor: floor, LSN: 7, Stamp: 6}
-		if err := WriteCheckpoint(ctx, be, "sn0", man, []wire.Mutation{mut("a", "1", 1)}, 0); err != nil {
+		if err := WriteCheckpoint(ctx, be, "sn0", man, SliceSource([]wire.Mutation{mut("a", "1", 1)}), 0); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
@@ -407,7 +407,7 @@ func TestFileBackend(t *testing.T) {
 			}
 		}
 		man := &Manifest{Seq: 1, Floor: 0, LSN: 6, Stamp: 5}
-		if err := WriteCheckpoint(ctx, be, "sn0", man, []wire.Mutation{mut("a", "1", 1)}, 0); err != nil {
+		if err := WriteCheckpoint(ctx, be, "sn0", man, SliceSource([]wire.Mutation{mut("a", "1", 1)}), 0); err != nil {
 			t.Errorf("checkpoint: %v", err)
 			return
 		}

@@ -183,9 +183,11 @@ func (sn *Node) Checkpoint(ctx env.Ctx) error {
 }
 
 // checkpoint performs the fuzzy checkpoint; d.ckptBusy is held by the caller
-// and released here. The WAL floor is read BEFORE the memtable snapshot:
-// every mutation the snapshot misses lands in a segment at or above the
-// floor, so image + suffix replay loses nothing (stamps dedupe the overlap).
+// and released here. The WAL floor is read BEFORE the first chunk is cut:
+// the image is streamed chunk by chunk with sn.mu released across each
+// backend write, and every mutation a chunk misses (or a later chunk
+// over-includes) lands in a segment at or above the floor, so image + suffix
+// replay loses nothing (stamps dedupe the overlap).
 func (sn *Node) checkpoint(ctx env.Ctx) error {
 	d := sn.dur
 	defer func() {
@@ -199,19 +201,11 @@ func (sn *Node) checkpoint(ctx env.Ctx) error {
 	if d.opts.Fence != nil {
 		fence = d.opts.Fence(ctx)
 	}
-	cells := sn.StateDump()
-	var maxStamp uint64
-	for i := range cells {
-		if cells[i].Stamp > maxStamp {
-			maxStamp = cells[i].Stamp
-		}
-	}
-
 	d.mu.Lock()
 	seq := d.ckptSeq + 1
 	d.mu.Unlock()
-	man := &durable.Manifest{Seq: seq, Floor: floor, LSN: lsn, Stamp: maxStamp, Fence: fence}
-	if err := durable.WriteCheckpoint(ctx, d.opts.Backend, sn.addr, man, cells, d.opts.ChunkBytes); err != nil {
+	man := &durable.Manifest{Seq: seq, Floor: floor, LSN: lsn, Fence: fence}
+	if err := durable.WriteCheckpoint(ctx, d.opts.Backend, sn.addr, man, sn.ckptSource(), d.opts.ChunkBytes); err != nil {
 		// A failed checkpoint leaves the previous generation intact; the
 		// node keeps serving from the (longer) log.
 		return err
@@ -224,23 +218,58 @@ func (sn *Node) checkpoint(ctx env.Ctx) error {
 	return d.wal.TruncateBefore(ctx, floor)
 }
 
+// errCkptAborted: the memtable a checkpoint was walking is gone.
+var errCkptAborted = errors.New("store: checkpoint aborted: node crashed or recovered mid-image")
+
+// ckptSource returns the durable.CellSource of one checkpoint: each call
+// walks, under one sn.mu hold, the memtable that was live when the checkpoint
+// began. A crash or a recovery between two chunks swaps that memtable out;
+// resuming the cursor on its replacement would end the image early and the
+// manifest would then truncate the log that still holds the rest, so the
+// source fails instead and the previous generation stays current.
+func (sn *Node) ckptSource() durable.CellSource {
+	sn.mu.Lock()
+	mt := sn.mt
+	sn.mu.Unlock()
+	return func(after []byte, emit func(wire.Mutation) bool) error {
+		sn.mu.Lock()
+		defer sn.mu.Unlock()
+		if sn.mt != mt {
+			return errCkptAborted
+		}
+		scanCells(mt, after, emit)
+		return nil
+	}
+}
+
+// scanCells emits, in key order, every cell of mt with key > after (all of
+// them when after is nil), tombstones included, until emit returns false. The
+// caller holds the lock that guards mt; the mutations alias the memtable and
+// are valid only during emit.
+func scanCells(mt *memtable, after []byte, emit func(wire.Mutation) bool) {
+	mt.scanAfter(after, func(key []byte, c cell) bool {
+		return emit(cellView(key, c))
+	})
+}
+
 // StateDump snapshots the memtable as mutations in key order, tombstones
-// included (checkpoint image; also handy for test assertions).
+// included (test and crash-harness assertions; the checkpoint streams
+// scanCells instead of materialising this).
 func (sn *Node) StateDump() []wire.Mutation {
+	var out []wire.Mutation
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	var out []wire.Mutation
-	sn.mt.scan(nil, nil, false, func(key []byte, c cell) bool {
-		out = append(out, cellMutation(key, c))
+	scanCells(sn.mt, nil, func(m wire.Mutation) bool {
+		out = append(out, ownMutation(m))
 		return true
 	})
 	return out
 }
 
-// cellMutation converts a memtable cell to its wire form, copying key and
-// value out of the memtable.
-func cellMutation(key []byte, c cell) wire.Mutation {
-	m := wire.Mutation{Key: append([]byte(nil), key...), Stamp: c.stamp}
+// cellView is a memtable cell in its wire form, aliasing key and value: for
+// use under sn.mu only.
+func cellView(key []byte, c cell) wire.Mutation {
+	m := wire.Mutation{Key: key, Stamp: c.stamp}
 	switch {
 	case c.dead:
 		m.Deleted = true
@@ -248,9 +277,22 @@ func cellMutation(key []byte, c cell) wire.Mutation {
 		m.Counter = true
 		m.CtrVal = c.counter
 	default:
-		m.Val = append([]byte(nil), c.val...)
+		m.Val = c.val
 	}
 	return m
+}
+
+// ownMutation gives m its own copy of key and value.
+func ownMutation(m wire.Mutation) wire.Mutation {
+	m.Key = append([]byte(nil), m.Key...)
+	m.Val = append([]byte(nil), m.Val...)
+	return m
+}
+
+// cellMutation converts a memtable cell to its wire form, copying key and
+// value out of the memtable so the result outlives the lock hold.
+func cellMutation(key []byte, c cell) wire.Mutation {
+	return ownMutation(cellView(key, c))
 }
 
 // cellFromMutation is the inverse of cellMutation.

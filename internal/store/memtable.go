@@ -177,6 +177,26 @@ func (m *memtable) delete(key []byte) bool {
 	return true
 }
 
+// scanAfter calls fn for every key > after in ascending order (every key when
+// after is nil) until fn returns false. It is the resume step of a cursor
+// walk that releases the caller's lock between batches: after is the last key
+// the previous batch handled, and need not still be present.
+func (m *memtable) scanAfter(after []byte, fn func(key []byte, c cell) bool) {
+	x := m.head
+	if after != nil {
+		for i := m.level - 1; i >= 0; i-- {
+			for x.next[i] != nil && bytes.Compare(x.next[i].key, after) <= 0 {
+				x = x.next[i]
+			}
+		}
+	}
+	for n := x.next[0]; n != nil; n = n.next[0] {
+		if !fn(n.key, n.cell) {
+			return
+		}
+	}
+}
+
 // scan calls fn for keys in [lo, hi) in ascending order (or descending when
 // reverse is set, starting just below hi). Scanning stops when fn returns
 // false. A nil hi means "no upper bound"; a nil/empty lo means "no lower

@@ -228,3 +228,38 @@ func TestMemtableBinaryKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestMemtableScanAfter pins the cursor-resume step: strictly after the
+// cursor, whether or not the cursor key is (still) present; nil = from the
+// start; an empty non-nil cursor skips only the empty key.
+func TestMemtableScanAfter(t *testing.T) {
+	m := newMemtable(1)
+	for _, k := range []string{"", "d", "a", "c", "b", "e"} {
+		m.set([]byte(k), cell{val: []byte(k)})
+	}
+	collect := func(after []byte, limit int) string {
+		var got []string
+		m.scanAfter(after, func(k []byte, c cell) bool {
+			got = append(got, string(k))
+			return len(got) < limit
+		})
+		return fmt.Sprintf("%q", got)
+	}
+	for _, tc := range []struct {
+		after []byte
+		limit int
+		want  string
+	}{
+		{nil, 99, `["" "a" "b" "c" "d" "e"]`},
+		{[]byte{}, 99, `["a" "b" "c" "d" "e"]`},
+		{[]byte("b"), 99, `["c" "d" "e"]`},
+		{[]byte("bb"), 99, `["c" "d" "e"]`}, // cursor key deleted since
+		{[]byte("b"), 2, `["c" "d"]`},
+		{[]byte("e"), 99, `[]`},
+		{[]byte("z"), 99, `[]`},
+	} {
+		if got := collect(tc.after, tc.limit); got != tc.want {
+			t.Errorf("scanAfter(%q, limit %d) = %s, want %s", tc.after, tc.limit, got, tc.want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -152,11 +151,10 @@ func (sn *Node) shipChunk(ctx env.Ctx, pid uint64, target string, ms []wire.Muta
 // cursor carries a stamp above that floor and is caught by the next pass.
 func (sn *Node) copyRange(ctx env.Ctx, pid uint64, target string, floor uint64, throttle time.Duration) (migAck, bool) {
 	ack := migAck{Status: wire.StatusOK}
-	var lastKey []byte
+	var after []byte               // nil: the first batch starts at the smallest key
+	lastKey := make([]byte, 0, 64) // never nil, so an empty key cannot restart the walk
 	first := true
 	for {
-		start := append([]byte(nil), lastKey...)
-		resume := lastKey != nil
 		var batch []wire.Mutation
 		done := true
 		sn.mu.Lock()
@@ -169,11 +167,9 @@ func (sn *Node) copyRange(ctx env.Ctx, pid uint64, target string, floor uint64, 
 			ack.Floor = sn.stamp
 			first = false
 		}
-		sn.mt.scan(start, nil, false, func(key []byte, c cell) bool {
-			if resume && bytes.Equal(key, start) {
-				return true // the cursor key itself was shipped last round
-			}
+		sn.mt.scanAfter(after, func(key []byte, c cell) bool {
 			lastKey = append(lastKey[:0], key...)
+			after = lastKey
 			if part.Owns(KeyHash(key)) && c.stamp > floor {
 				batch = append(batch, cellMutation(key, c))
 			}

@@ -25,7 +25,7 @@ type harness struct {
 	pn      env.Node
 }
 
-func newHarness(t *testing.T, cfg store.ClusterConfig) *harness {
+func newHarness(t testing.TB, cfg store.ClusterConfig) *harness {
 	t.Helper()
 	k := sim.NewKernel(testutil.Seed(t, 7))
 	envr := env.NewSim(k)
@@ -40,7 +40,7 @@ func newHarness(t *testing.T, cfg store.ClusterConfig) *harness {
 
 // run executes fn as a simulated activity and drives the kernel until the
 // simulation drains or the deadline passes.
-func (h *harness) run(t *testing.T, fn func(ctx env.Ctx)) {
+func (h *harness) run(t testing.TB, fn func(ctx env.Ctx)) {
 	t.Helper()
 	done := false
 	h.pn.Go("test", func(ctx env.Ctx) {
