@@ -67,13 +67,17 @@ sanitize:
 # Allocation guards for the store request path: the AllocsPerRun tests pin
 # pooled encode/decode at zero steady-state allocations, a cold sized encode
 # at one, a B+tree node decode at four and a full dedup window's commit at
-# one (the cloned response), a fuzzy checkpoint at O(chunks) not O(cells), and
+# one (the cloned response), a fuzzy checkpoint at O(chunks) not O(cells), the
+# simulator's steady state (sleep, resource, queue, satisfied timeout, pooled
+# spawn) at zero, a future at one and a SimNet round trip at three, and
 # every benchmark runs for one iteration so a broken hot path fails fast in CI.
 bench-smoke:
 	$(GO) test ./internal/wire -run 'ZeroAlloc|OneAlloc|PutBufRejects' -bench . -benchtime 1x
 	$(GO) test ./internal/btree -run 'DecodeNodeAllocs' -bench DecodeNode -benchtime 1x
 	$(GO) test ./internal/resil -run 'WindowCommitAllocs' -bench WindowCommitFull -benchtime 1x
 	$(GO) test ./internal/store -run 'CheckpointAllocs' -bench Checkpoint -benchtime 1x
+	$(GO) test ./internal/sim -run 'SteadyStateAllocs' -bench . -benchtime 1x
+	$(GO) test ./internal/transport -run 'SimNetRoundTripAllocs' -bench SimNetRoundTrip -benchtime 1x
 
 # The repository benchmark (BENCHMARK.json): every workload × 3 seeds, one
 # process per run, medians into .bench_build/suite.json. Compare two suite
@@ -119,7 +123,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -C bench .
-	$(GO) test -race ./internal/wire ./internal/env ./internal/sim \
+	$(GO) test -race ./internal/wire ./internal/env ./internal/sim ./internal/transport \
 		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy
 	$(MAKE) assembly-gate
 	$(MAKE) chaos-race

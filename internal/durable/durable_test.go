@@ -18,6 +18,7 @@ import (
 func runSim(t *testing.T, seed int64, fn func(ctx env.Ctx)) {
 	t.Helper()
 	k := sim.NewKernel(seed)
+	defer k.Shutdown()
 	envr := env.NewSim(k)
 	n := envr.NewNode("test", 2)
 	n.Go("main", func(ctx env.Ctx) {

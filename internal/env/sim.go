@@ -12,6 +12,9 @@ import (
 type simEnv struct {
 	k  *sim.Kernel
 	tr *trace.Recorder
+	// ctxs holds the contexts of finished activities for the next spawn to
+	// take. A plain slice: the kernel runs one activity at a time.
+	ctxs []*simCtx
 }
 
 // NewSim wraps kernel k as an environment. The caller drives the simulation
@@ -34,7 +37,7 @@ func (e *simEnv) NewNode(name string, cores int) Node {
 }
 
 func (e *simEnv) NewQueue() Queue   { return &simQueue{q: sim.NewQueue(e.k)} }
-func (e *simEnv) NewFuture() Future { return &simFuture{f: sim.NewFuture(e.k)} }
+func (e *simEnv) NewFuture() Future { return new(simFuture) }
 
 type simNode struct {
 	env   *simEnv
@@ -54,15 +57,37 @@ func (n *simNode) Go(name string, fn func(ctx Ctx)) {
 // goScoped spawns an activity whose context starts with the given tracing
 // scope (recorder + causal parent span; never the latency aggregator).
 func (n *simNode) goScoped(name string, sc trace.Scope, fn func(ctx Ctx)) {
-	n.env.k.Go(n.name+"/"+name, func(p *sim.Proc) {
-		fn(&simCtx{node: n, p: p, sc: sc})
-	})
+	e := n.env
+	var c *simCtx
+	if last := len(e.ctxs) - 1; last >= 0 {
+		c, e.ctxs[last] = e.ctxs[last], nil
+		e.ctxs = e.ctxs[:last]
+	} else {
+		c = new(simCtx)
+	}
+	c.node, c.sc, c.fn = n, sc, fn
+	e.k.Spawn(n.name, name, c)
 }
 
+// simCtx is the context of one activity and, as a sim.Runner, the body of
+// the process that runs it, so that a spawn needs no closure. A Ctx is only
+// valid within its activity, which is what lets the next activity have it.
 type simCtx struct {
 	node *simNode
 	p    *sim.Proc
 	sc   trace.Scope
+	fn   func(ctx Ctx)
+}
+
+// Run executes the activity on process p.
+func (c *simCtx) Run(p *sim.Proc) {
+	c.p = p
+	c.fn(c)
+	// Reached only when fn returned: an activity that panicked or left
+	// through runtime.Goexit keeps its context.
+	e := c.node.env
+	*c = simCtx{}
+	e.ctxs = append(e.ctxs, c)
 }
 
 func (c *simCtx) Node() Node            { return c.node }
@@ -121,7 +146,7 @@ func (s *simQueue) GetTimeout(ctx Ctx, d time.Duration) (any, bool, bool) {
 	return s.q.GetTimeout(proc(ctx), d)
 }
 
-type simFuture struct{ f *sim.Future }
+type simFuture struct{ f sim.Future }
 
 func (s *simFuture) Set(v any)       { s.f.Set(v) }
 func (s *simFuture) IsSet() bool     { return s.f.IsSet() }

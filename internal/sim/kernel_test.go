@@ -6,7 +6,7 @@ import (
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	var woke Time
 	k.Go("sleeper", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
@@ -24,7 +24,7 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	var order []int
 	k.Go("a", func(p *Proc) {
 		p.Sleep(3 * time.Millisecond)
@@ -49,7 +49,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 }
 
 func TestEqualTimeEventsFireInScheduleOrder(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -66,7 +66,7 @@ func TestEqualTimeEventsFireInScheduleOrder(t *testing.T) {
 }
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	fired := 0
 	k.After(time.Second, func() { fired++ })
 	k.After(3*time.Second, func() { fired++ })
@@ -88,7 +88,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 }
 
 func TestRunForIsRelative(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunForIsRelative(t *testing.T) {
 }
 
 func TestProcessPanicSurfacesAsError(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	k.Go("boom", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		panic("kaboom")
@@ -113,7 +113,7 @@ func TestProcessPanicSurfacesAsError(t *testing.T) {
 }
 
 func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	n := 0
 	k.Go("stopper", func(p *Proc) {
 		for i := 0; i < 100; i++ {
@@ -137,7 +137,7 @@ func TestStopHaltsRun(t *testing.T) {
 }
 
 func TestShutdownReleasesBlockedProcesses(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	q := NewQueue(k)
 	for i := 0; i < 3; i++ {
 		k.Go("blocked", func(p *Proc) { q.Get(p) })
@@ -185,7 +185,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestNestedSpawn(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	done := 0
 	k.Go("parent", func(p *Proc) {
 		p.Go("child", func(c *Proc) {
@@ -201,4 +201,12 @@ func TestNestedSpawn(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("done = %d, want 2", done)
 	}
+}
+
+// testKernel returns a kernel that is shut down when the test ends, so that
+// its parked process goroutines exit (see main_test.go).
+func testKernel(t testing.TB, seed int64) *Kernel {
+	k := NewKernel(seed)
+	t.Cleanup(k.Shutdown)
+	return k
 }

@@ -2,33 +2,137 @@ package sim
 
 import "time"
 
-// waiter is a process parked on a synchronization primitive, together with
-// the slot the primitive delivers its result into.
+// waiter is the one wait a process can be in: a process blocks on at most one
+// primitive at a time, so the slot a primitive delivers into lives in the
+// Proc and blocking allocates nothing. The primitive links the Proc into its
+// list of waiters, park blocks, and whoever ends the wait — a delivery or the
+// expiry of the wait's timer — unlinks the Proc first. A Proc is therefore
+// never on a list it is not currently parked on, which is what keeps a late
+// Put or Set from waking it out of an unrelated wait.
 type waiter struct {
-	p        *Proc
+	parked   bool     // linked into a primitive and not yet delivered to
+	on       waitList // where to unlink from on expiry (bounded waits only)
 	val      any
 	ok       bool
-	done     bool // delivered or timed out; skip on later delivery attempts
 	timedOut bool
 	unit     int // resource unit handed over by a releasing process
 }
 
-// wakeNow schedules w's process to resume at the current virtual time.
-func (k *Kernel) wakeNow(w *waiter) { k.schedule(k.now, w.p, nil) }
+// waitList is a primitive a bounded wait can be abandoned on.
+type waitList interface {
+	unlink(p *Proc)
+}
+
+// park blocks p, which the caller has linked into a primitive, until that
+// primitive delivers, and returns what it delivered.
+func (p *Proc) park() waiter {
+	p.w.parked = true
+	p.block()
+	w := p.w
+	p.w = waiter{}
+	return w
+}
+
+// parkTimeout is park bounded by d: if nothing is delivered first, the
+// kernel unlinks p from on and wakes it with timedOut set. A wait that was
+// satisfied takes its timer out of the heap, so that pending events stay in
+// proportion to pending work.
+func (p *Proc) parkTimeout(on waitList, d time.Duration) waiter {
+	k := p.k
+	e := k.schedule(k.now.Add(d))
+	e.proc, e.expire = p, true
+	t := timer{e, e.seq}
+	p.w.on = on
+	w := p.park()
+	if !w.timedOut {
+		// With the value and the deadline at the same instant the timer has
+		// already fired, between the delivery and this wake-up, and its slot
+		// may be serving another event; cancel checks.
+		k.cancel(t)
+	}
+	return w
+}
+
+// expire ends p's bounded wait, unless a delivery at this same instant
+// already has.
+func (p *Proc) expire() {
+	if !p.w.parked {
+		return
+	}
+	p.w.on.unlink(p)
+	p.w.parked, p.w.timedOut = false, true
+	p.k.wakeNow(p)
+}
+
+// deliver ends p's wait with a value; the caller has unlinked p.
+func (p *Proc) deliver(v any, ok bool) {
+	p.w.val, p.w.ok, p.w.parked = v, ok, false
+	p.k.wakeNow(p)
+}
+
+// procQueue is a FIFO of waiting processes in a ring buffer: push and pop
+// are O(1) and, once the ring has grown to the largest backlog seen, free of
+// allocation.
+type procQueue struct {
+	ring    []*Proc // len is zero or a power of two
+	head, n int
+}
+
+func (q *procQueue) push(p *Proc) {
+	if q.n == len(q.ring) {
+		grown := make([]*Proc, max(4, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.at(i)
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
+	q.n++
+}
+
+func (q *procQueue) at(i int) *Proc { return q.ring[(q.head+i)&(len(q.ring)-1)] }
+
+// pop returns the longest-waiting process, or nil.
+func (q *procQueue) pop() *Proc {
+	if q.n == 0 {
+		return nil
+	}
+	p := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return p
+}
+
+// remove takes p out, keeping the others in order.
+func (q *procQueue) remove(p *Proc) {
+	mask := len(q.ring) - 1
+	for i := 0; i < q.n; i++ {
+		if q.at(i) != p {
+			continue
+		}
+		for ; i < q.n-1; i++ {
+			q.ring[(q.head+i)&mask] = q.at(i + 1)
+		}
+		q.ring[(q.head+i)&mask] = nil
+		q.n--
+		return
+	}
+}
 
 // Queue is an unbounded FIFO queue usable across simulated processes.
 // Put never blocks and may be called from kernel callbacks; Get blocks the
 // calling process until a value or close arrives.
 type Queue struct {
-	k       *Kernel
 	buf     []any
 	head    int
-	waiters []*waiter
+	waiters procQueue
 	closed  bool
 }
 
-// NewQueue returns an empty queue bound to kernel k.
-func NewQueue(k *Kernel) *Queue { return &Queue{k: k} }
+// NewQueue returns an empty queue. Like a Future, a queue reaches the kernel
+// through the processes that wait on it.
+func NewQueue(*Kernel) *Queue { return new(Queue) }
 
 // Len returns the number of buffered values.
 func (q *Queue) Len() int { return len(q.buf) - q.head }
@@ -38,14 +142,8 @@ func (q *Queue) Put(v any) {
 	if q.closed {
 		return
 	}
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.done {
-			continue
-		}
-		w.val, w.ok, w.done = v, true, true
-		q.k.wakeNow(w)
+	if p := q.waiters.pop(); p != nil {
+		p.deliver(v, true)
 		return
 	}
 	q.buf = append(q.buf, v)
@@ -58,14 +156,12 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waiters {
-		if !w.done {
-			w.done = true
-			q.k.wakeNow(w)
-		}
+	for p := q.waiters.pop(); p != nil; p = q.waiters.pop() {
+		p.deliver(nil, false)
 	}
-	q.waiters = nil
 }
+
+func (q *Queue) unlink(p *Proc) { q.waiters.remove(p) }
 
 func (q *Queue) pop() (any, bool) {
 	if q.head < len(q.buf) {
@@ -89,9 +185,8 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 	if q.closed {
 		return nil, false
 	}
-	w := &waiter{p: p}
-	q.waiters = append(q.waiters, w)
-	p.block()
+	q.waiters.push(p)
+	w := p.park()
 	return w.val, w.ok
 }
 
@@ -103,28 +198,24 @@ func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) 
 	if q.closed {
 		return nil, false, false
 	}
-	w := &waiter{p: p}
-	q.waiters = append(q.waiters, w)
-	q.k.After(d, func() {
-		if !w.done {
-			w.done, w.timedOut = true, true
-			q.k.wakeNow(w)
-		}
-	})
-	p.block()
+	q.waiters.push(p)
+	w := p.parkTimeout(q, d)
 	return w.val, w.ok, w.timedOut
 }
 
 // Future is a write-once value that any number of processes can wait on.
+// The zero Future is unset and ready to use, so a struct that owns a reply
+// slot can hold one by value.
 type Future struct {
-	k       *Kernel
-	set     bool
-	val     any
-	waiters []*waiter
+	set   bool
+	val   any
+	first *Proc   // the longest-waiting process; almost every future has just one
+	more  []*Proc // those that arrived while first was waiting, in order
 }
 
-// NewFuture returns an unset future bound to kernel k.
-func NewFuture(k *Kernel) *Future { return &Future{k: k} }
+// NewFuture returns an unset future. A future needs no kernel of its own: it
+// reaches the kernel through the processes that wait on it.
+func NewFuture(*Kernel) *Future { return new(Future) }
 
 // IsSet reports whether the future has a value.
 func (f *Future) IsSet() bool { return f.set }
@@ -137,13 +228,37 @@ func (f *Future) Set(v any) {
 	}
 	f.set = true
 	f.val = v
-	for _, w := range f.waiters {
-		if !w.done {
-			w.val, w.ok, w.done = v, true, true
-			f.k.wakeNow(w)
+	if f.first != nil {
+		f.first.deliver(v, true)
+	}
+	for _, p := range f.more {
+		p.deliver(v, true)
+	}
+	f.first, f.more = nil, nil
+}
+
+func (f *Future) link(p *Proc) {
+	if f.first == nil {
+		f.first = p
+	} else {
+		f.more = append(f.more, p)
+	}
+}
+
+func (f *Future) unlink(p *Proc) {
+	if f.first == p {
+		f.first = nil
+		if len(f.more) > 0 {
+			f.first, f.more = f.more[0], f.more[1:]
+		}
+		return
+	}
+	for i, o := range f.more {
+		if o == p {
+			f.more = append(f.more[:i], f.more[i+1:]...)
+			return
 		}
 	}
-	f.waiters = nil
 }
 
 // Get blocks p until the future is set and returns its value.
@@ -151,10 +266,8 @@ func (f *Future) Get(p *Proc) any {
 	if f.set {
 		return f.val
 	}
-	w := &waiter{p: p}
-	f.waiters = append(f.waiters, w)
-	p.block()
-	return w.val
+	f.link(p)
+	return p.park().val
 }
 
 // GetTimeout is like Get but gives up after d of virtual time, returning
@@ -163,15 +276,8 @@ func (f *Future) GetTimeout(p *Proc, d time.Duration) (v any, ok bool) {
 	if f.set {
 		return f.val, true
 	}
-	w := &waiter{p: p}
-	f.waiters = append(f.waiters, w)
-	f.k.After(d, func() {
-		if !w.done {
-			w.done, w.timedOut = true, true
-			f.k.wakeNow(w)
-		}
-	})
-	p.block()
+	f.link(p)
+	w := p.parkTimeout(f, d)
 	return w.val, w.ok
 }
 
@@ -182,7 +288,7 @@ type Resource struct {
 	k       *Kernel
 	total   int
 	inUse   int
-	waiters []*waiter
+	waiters procQueue
 	busy    time.Duration // accumulated busy time across all units
 	last    Time          // last accounting instant
 	free    []int         // free unit indices (LIFO; unit 0 preferred)
@@ -220,24 +326,16 @@ func (r *Resource) Acquire(p *Proc) int {
 		r.free = r.free[:len(r.free)-1]
 		return u
 	}
-	w := &waiter{p: p}
-	r.waiters = append(r.waiters, w)
-	p.block()
-	// The releasing process transferred its unit to us; inUse unchanged.
-	return w.unit
+	r.waiters.push(p)
+	// The releasing process transfers its unit to us; inUse unchanged.
+	return p.park().unit
 }
 
 // Release returns unit to the pool, handing it to the first waiter if any.
 func (r *Resource) Release(unit int) {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if w.done {
-			continue
-		}
-		w.done = true
-		w.unit = unit
-		r.k.wakeNow(w)
+	if p := r.waiters.pop(); p != nil {
+		p.w.unit, p.w.parked = unit, false
+		r.k.wakeNow(p)
 		return
 	}
 	r.account()

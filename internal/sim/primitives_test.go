@@ -6,7 +6,7 @@ import (
 )
 
 func TestQueueFIFO(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	q := NewQueue(k)
 	var got []int
 	k.Go("consumer", func(p *Proc) {
@@ -34,7 +34,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueBuffersWhenNoWaiter(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	q := NewQueue(k)
 	q.Put("a")
 	q.Put("b")
@@ -57,7 +57,7 @@ func TestQueueBuffersWhenNoWaiter(t *testing.T) {
 }
 
 func TestQueueCloseWakesWaiters(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	q := NewQueue(k)
 	closedSeen := 0
 	for i := 0; i < 2; i++ {
@@ -77,7 +77,7 @@ func TestQueueCloseWakesWaiters(t *testing.T) {
 }
 
 func TestQueueGetTimeout(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	q := NewQueue(k)
 	var timedOut, gotValue bool
 	k.Go("w", func(p *Proc) {
@@ -99,7 +99,7 @@ func TestQueueGetTimeout(t *testing.T) {
 }
 
 func TestQueueTimedOutWaiterDoesNotConsumeValue(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	q := NewQueue(k)
 	var late, value bool
 	k.Go("w1", func(p *Proc) {
@@ -120,7 +120,7 @@ func TestQueueTimedOutWaiterDoesNotConsumeValue(t *testing.T) {
 }
 
 func TestFutureDeliversToAllWaiters(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	f := NewFuture(k)
 	sum := 0
 	for i := 0; i < 3; i++ {
@@ -136,7 +136,7 @@ func TestFutureDeliversToAllWaiters(t *testing.T) {
 }
 
 func TestFutureGetAfterSetReturnsImmediately(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	f := NewFuture(k)
 	f.Set("x")
 	var got string
@@ -154,7 +154,7 @@ func TestFutureGetAfterSetReturnsImmediately(t *testing.T) {
 }
 
 func TestFutureGetTimeout(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	f := NewFuture(k)
 	var ok bool
 	k.Go("w", func(p *Proc) { _, ok = f.GetTimeout(p, time.Millisecond) })
@@ -169,7 +169,7 @@ func TestFutureGetTimeout(t *testing.T) {
 
 func TestResourceSerializesWork(t *testing.T) {
 	// Three jobs of 10ms on a 1-unit resource finish at 10, 20, 30ms.
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	r := NewResource(k, 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
@@ -191,7 +191,7 @@ func TestResourceSerializesWork(t *testing.T) {
 
 func TestResourceParallelism(t *testing.T) {
 	// Four jobs of 10ms on a 2-unit resource finish at 10, 10, 20, 20ms.
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	r := NewResource(k, 2)
 	var ends []Time
 	for i := 0; i < 4; i++ {
@@ -209,7 +209,7 @@ func TestResourceParallelism(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	k := NewKernel(1)
+	k := testKernel(t, 1)
 	r := NewResource(k, 2)
 	k.Go("job", func(p *Proc) { r.Use(p, 10*time.Millisecond) })
 	if err := k.RunUntil(Time(20 * time.Millisecond)); err != nil {

@@ -168,19 +168,31 @@ func (c *Cluster) Addrs() []string {
 	return addrs
 }
 
+// loadTarget resolves the master node and the replica addresses (appended
+// to buf) of the partition owning key. It asks the manager for that one
+// partition: Manager.Map would deep-copy the whole map for every loaded key.
+func (c *Cluster) loadTarget(key []byte, buf []string) (*Node, []string, error) {
+	addr, replicas, ok := c.Manager.owner(key, buf)
+	if !ok {
+		return nil, nil, fmt.Errorf("store: no partition for key %q", key)
+	}
+	master := c.byAddr[addr]
+	if master == nil {
+		return nil, nil, fmt.Errorf("store: unknown master %q", addr)
+	}
+	return master, replicas, nil
+}
+
 // BulkLoad installs a key directly on its master and replicas, bypassing
 // the RPC path. Only for dataset population before an experiment starts.
 func (c *Cluster) BulkLoad(key, val []byte) error {
-	part, ok := c.Manager.Map().LookupKey(key)
-	if !ok {
-		return fmt.Errorf("store: no partition for key %q", key)
-	}
-	master := c.byAddr[part.Master]
-	if master == nil {
-		return fmt.Errorf("store: unknown master %q", part.Master)
+	var buf [4]string
+	master, replicas, err := c.loadTarget(key, buf[:0])
+	if err != nil {
+		return err
 	}
 	stamp := master.BulkLoad(key, val)
-	for _, rep := range part.Replicas {
+	for _, rep := range replicas {
 		if rn := c.byAddr[rep]; rn != nil {
 			rn.LoadReplica(key, val, stamp)
 		}
@@ -191,16 +203,13 @@ func (c *Cluster) BulkLoad(key, val []byte) error {
 // BulkLoadCounter installs a counter cell directly on its master and
 // replicas (dataset population only).
 func (c *Cluster) BulkLoadCounter(key []byte, v int64) error {
-	part, ok := c.Manager.Map().LookupKey(key)
-	if !ok {
-		return fmt.Errorf("store: no partition for key %q", key)
-	}
-	master := c.byAddr[part.Master]
-	if master == nil {
-		return fmt.Errorf("store: unknown master %q", part.Master)
+	var buf [4]string
+	master, replicas, err := c.loadTarget(key, buf[:0])
+	if err != nil {
+		return err
 	}
 	stamp := master.BulkLoadCounter(key, v)
-	for _, rep := range part.Replicas {
+	for _, rep := range replicas {
 		if rn := c.byAddr[rep]; rn != nil {
 			rn.LoadReplicaCounter(key, v, stamp)
 		}

@@ -158,6 +158,18 @@ func (m *Manager) Map() *PartitionMap {
 	return m.pmap.Clone()
 }
 
+// owner returns the master and the replicas (appended to buf) of the
+// partition owning key, read under the lock instead of from a copy of the map.
+func (m *Manager) owner(key []byte, buf []string) (master string, replicas []string, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p, ok := m.pmap.LookupKey(key)
+	if !ok {
+		return "", nil, false
+	}
+	return p.Master, append(buf, p.Replicas...), true
+}
+
 // SetMap installs the initial partition map (cluster bootstrap).
 func (m *Manager) SetMap(pm *PartitionMap) {
 	m.mu.Lock()

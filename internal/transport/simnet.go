@@ -137,10 +137,107 @@ func (c *simConn) reachable() bool {
 // this connection's link (the transport.TransferTimer interface).
 func (c *simConn) TransferTime(b int) time.Duration { return c.net.class.TransferTime(b) }
 
-// simReply carries a response and its trace flow id back to the client.
-type simReply struct {
+// simCall is one RoundTrip in flight. The kernel fires it when (a copy of)
+// the request reaches the server; the handler activity it starts there sends
+// simResponses back, and the first to arrive fills the reply slot.
+type simCall struct {
+	c    *simConn
+	req  []byte
+	flow trace.SpanID
+	ep   *simEndpoint // resolved when the request arrives
+
+	reply sim.Future // set, with no value, once resp and rflow are
+	resp  []byte
+	rflow trace.SpanID
+}
+
+// send puts one copy of the request on the wire.
+func (call *simCall) send(extra time.Duration) {
+	n := call.c.net
+	n.k.AfterFire(n.class.TransferTime(len(call.req))+extra, call)
+}
+
+// Fire is the request arriving at the server.
+func (call *simCall) Fire() {
+	n, dst := call.c.net, call.c.dst
+	ep, ok := n.eps[dst]
+	if !ok || n.down[dst] {
+		return // lost; client times out
+	}
+	call.ep = ep
+	// The handler runs as an activity on the serving node.
+	ep.node.Go("handler", call.handle)
+}
+
+// handle runs the endpoint's handler on the serving node and sends its
+// response back.
+func (call *simCall) handle(hctx env.Ctx) {
+	c := call.c
+	n, src, dst := c.net, c.src.Name(), c.dst
+	hsc := hctx.Trace()
+	var hstart time.Duration
+	var hspan trace.SpanID
+	if hsc.R.Enabled() {
+		hsc.R.MsgRecv(call.flow, dst, int64(len(call.req)))
+		hstart = hctx.Now()
+		hspan = hsc.R.NewID()
+		hsc.Span = hspan // handlers parent their spans here
+	}
+	resp := call.ep.h(hctx, call.req)
+	if n.down[dst] || n.down[src] {
+		return // server or client died meanwhile
+	}
+	rf := n.faultFor(dst, src, resp)
+	if rf.Drop {
+		n.stats.Dropped++
+		return // lost response; client times out
+	}
+	r := &simResponse{call: call, data: resp}
+	if hsc.R.Enabled() {
+		hsc.R.Span(hspan, call.flow, dst, "handler", hstart,
+			int64(len(call.req)), int64(len(resp)))
+		r.flow = hsc.R.MsgSend(hspan, dst, src, int64(len(resp)))
+	}
+	r.send(rf.Delay)
+	if rf.Duplicate {
+		// The duplicate leg passes through the fault injector again so
+		// dup+drop and dup+delay compose; only its Duplicate verdict is
+		// ignored (one copy per leg, no duplication cascades). Seed-stable:
+		// the extra draw happens exactly when a duplication fires.
+		n.stats.Duplicated++
+		df := n.faultFor(dst, src, resp)
+		if df.Drop {
+			n.stats.Dropped++
+		} else {
+			r.send(df.Delay)
+		}
+	}
+}
+
+// simResponse is one handler run's response and its trace flow id on the way
+// back to the client. A duplicated request has two, with their own bytes.
+type simResponse struct {
+	call *simCall
 	data []byte
 	flow trace.SpanID
+}
+
+// send puts one copy of the response on the wire.
+func (r *simResponse) send(extra time.Duration) {
+	n := r.call.c.net
+	n.k.AfterFire(n.class.TransferTime(len(r.data))+extra, r)
+}
+
+// Fire is the response arriving at the client. The first arrival wins; later
+// copies are discarded (the reply slot is write-once).
+func (r *simResponse) Fire() {
+	call := r.call
+	if call.reply.IsSet() {
+		return
+	}
+	call.c.net.stats.BytesRecv += uint64(len(r.data))
+	call.resp, call.rflow = r.data, r.flow
+	call.reply.Set(nil)
 }
 
 // RoundTrip sends req to the destination endpoint and blocks the calling
@@ -165,71 +262,8 @@ func (c *simConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 		return nil, ErrTimeout
 	}
 
-	flow := sc.R.MsgSend(sc.Span, c.src.Name(), c.dst, int64(len(req)))
-	fut := sim.NewFuture(n.k)
-	// Request travels to the server.
-	deliver := func(extra time.Duration) {
-		n.k.After(n.class.TransferTime(len(req))+extra, func() {
-			ep, ok := n.eps[c.dst]
-			if !ok || n.down[c.dst] {
-				return // lost; client times out
-			}
-			// The handler runs as an activity on the serving node.
-			ep.node.Go("handler", func(hctx env.Ctx) {
-				hsc := hctx.Trace()
-				var hstart time.Duration
-				var hspan trace.SpanID
-				if hsc.R.Enabled() {
-					hsc.R.MsgRecv(flow, c.dst, int64(len(req)))
-					hstart = hctx.Now()
-					hspan = hsc.R.NewID()
-					hsc.Span = hspan // handlers parent their spans here
-				}
-				resp := ep.h(hctx, req)
-				if n.down[c.dst] || n.down[c.src.Name()] {
-					return // server or client died meanwhile
-				}
-				rf := n.faultFor(c.dst, c.src.Name(), resp)
-				if rf.Drop {
-					n.stats.Dropped++
-					return // lost response; client times out
-				}
-				var rflow trace.SpanID
-				if hsc.R.Enabled() {
-					hsc.R.Span(hspan, flow, c.dst, "handler", hstart,
-						int64(len(req)), int64(len(resp)))
-					rflow = hsc.R.MsgSend(hspan, c.dst, c.src.Name(), int64(len(resp)))
-				}
-				// Response travels back to the client. With duplicated
-				// responses the first arrival wins; later copies are
-				// discarded (the reply future is write-once).
-				respond := func(extra time.Duration) {
-					n.k.After(n.class.TransferTime(len(resp))+extra, func() {
-						if fut.IsSet() {
-							return
-						}
-						n.stats.BytesRecv += uint64(len(resp))
-						fut.Set(simReply{data: resp, flow: rflow})
-					})
-				}
-				respond(rf.Delay)
-				if rf.Duplicate {
-					// The duplicate leg passes through the fault injector
-					// again so dup+drop and dup+delay compose; only its
-					// Duplicate verdict is ignored (one copy per leg, no
-					// duplication cascades). Seed-stable: the extra draw
-					// happens exactly when a duplication fires.
-					n.stats.Duplicated++
-					df := n.faultFor(c.dst, c.src.Name(), resp)
-					if df.Drop {
-						n.stats.Dropped++
-					} else {
-						respond(df.Delay)
-					}
-				}
-			})
-		})
-	}
+	call := &simCall{c: c, req: req}
+	call.flow = sc.R.MsgSend(sc.Span, c.src.Name(), c.dst, int64(len(req)))
 	qf := n.faultFor(c.src.Name(), c.dst, req)
 	if qf.Drop {
 		n.stats.Dropped++
@@ -237,7 +271,7 @@ func (c *simConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 		sc.Agg.Add(trace.CompNetwork, n.timeout)
 		return nil, ErrTimeout
 	}
-	deliver(qf.Delay)
+	call.send(qf.Delay)
 	if qf.Duplicate {
 		// As on the response leg: the duplicate request is itself subject
 		// to drop/delay faults (fresh draw), but never duplicates again.
@@ -246,33 +280,32 @@ func (c *simConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 		if df.Drop {
 			n.stats.Dropped++
 		} else {
-			deliver(df.Delay)
+			call.send(df.Delay)
 		}
 	}
 
-	v, ok := fut.GetTimeout(simProc(ctx), n.timeout)
-	if !ok {
+	if _, ok := call.reply.GetTimeout(simProc(ctx), n.timeout); !ok {
 		sc.Agg.Add(trace.CompNetwork, ctx.Now()-t0)
 		return nil, ErrTimeout
 	}
-	rep := v.(simReply)
-	sc.R.MsgRecv(rep.flow, c.src.Name(), int64(len(rep.data)))
+	resp := call.resp
+	sc.R.MsgRecv(call.rflow, c.src.Name(), int64(len(resp)))
 	if sc.R.Enabled() {
 		sc.R.CounterAdd(c.src.Name(), "net/msgs", 1)
-		sc.R.CounterAdd(c.src.Name(), "net/bytes", int64(len(req)+len(rep.data)))
+		sc.R.CounterAdd(c.src.Name(), "net/bytes", int64(len(req)+len(resp)))
 	}
 	if sc.Agg != nil {
 		// Split the round trip into wire time and remote service (handler
 		// execution + remote queueing), clamped to the measured total.
 		total := ctx.Now() - t0
-		net := n.class.TransferTime(len(req)) + n.class.TransferTime(len(rep.data))
+		net := n.class.TransferTime(len(req)) + n.class.TransferTime(len(resp))
 		if net > total {
 			net = total
 		}
 		sc.Agg.Add(trace.CompNetwork, net)
 		sc.Agg.Add(trace.CompRemote, total-net)
 	}
-	return rep.data, nil
+	return resp, nil
 }
 
 // simProc extracts the simulation process behind ctx; SimNet only works
