@@ -69,15 +69,16 @@ sanitize:
 # at one, a B+tree node decode at four and a full dedup window's commit at
 # one (the cloned response), a fuzzy checkpoint at O(chunks) not O(cells), the
 # simulator's steady state (sleep, resource, queue, satisfied timeout, pooled
-# spawn) at zero, a future at one and a SimNet round trip at three, and
-# every benchmark runs for one iteration so a broken hot path fails fast in CI.
+# spawn) at zero, a future at one, a SimNet round trip at three, a connection
+# lookup and a retried call at zero, and every benchmark runs for one
+# iteration so a broken hot path fails fast in CI.
 bench-smoke:
 	$(GO) test ./internal/wire -run 'ZeroAlloc|OneAlloc|PutBufRejects' -bench . -benchtime 1x
 	$(GO) test ./internal/btree -run 'DecodeNodeAllocs' -bench DecodeNode -benchtime 1x
-	$(GO) test ./internal/resil -run 'WindowCommitAllocs' -bench WindowCommitFull -benchtime 1x
+	$(GO) test ./internal/resil -run 'WindowCommitAllocs|CallAllocs' -bench WindowCommitFull -benchtime 1x
 	$(GO) test ./internal/store -run 'CheckpointAllocs' -bench Checkpoint -benchtime 1x
 	$(GO) test ./internal/sim -run 'SteadyStateAllocs' -bench . -benchtime 1x
-	$(GO) test ./internal/transport -run 'SimNetRoundTripAllocs' -bench SimNetRoundTrip -benchtime 1x
+	$(GO) test ./internal/transport -run 'SimNetRoundTripAllocs|ConnSetHitAllocs' -bench SimNetRoundTrip -benchtime 1x
 
 # The repository benchmark (BENCHMARK.json): every workload × 3 seeds, one
 # process per run, medians into .bench_build/suite.json. Compare two suite
@@ -118,13 +119,16 @@ obs-golden:
 	$(GO) test ./internal/exp -run TestObsGoldenDeterminism -count=1
 	$(GO) test ./internal/obs -run 'TestPromGolden|TestDeterministicDump' -count=1
 
-# Everything CI runs, in order (race on the fast packages only).
+# Everything CI runs, in order (race on the fast packages and the embedded
+# real-environment stress test only). .github/workflows/ci.yml runs this
+# target, so this is the one list of CI steps.
 ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -C bench .
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim ./internal/transport \
 		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy
+	$(GO) test -race -run TestConcurrentTransactStress .
 	$(MAKE) assembly-gate
 	$(MAKE) chaos-race
 	$(MAKE) crash-matrix

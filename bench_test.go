@@ -84,9 +84,6 @@ func BenchmarkSec631Contention(b *testing.B) { benchExperiment(b, "sec631") }
 // observation.
 func BenchmarkSec633SyncInterval(b *testing.B) { benchExperiment(b, "sec633") }
 
-// BenchmarkAblationBatching measures request batching on/off (§5.1).
-func BenchmarkAblationBatching(b *testing.B) { benchExperiment(b, "ablation-batching") }
-
 // BenchmarkAblationIndexCache measures B+tree inner-node caching (§5.3.1).
 func BenchmarkAblationIndexCache(b *testing.B) { benchExperiment(b, "ablation-indexcache") }
 

@@ -41,7 +41,6 @@ var ErrClosed = errors.New("commitmgr: client closed")
 type Client struct {
 	envr env.Full
 	node env.Node
-	tr   transport.Transport
 
 	// Retries per request before giving up (after rotating through the
 	// whole fleet each attempt).
@@ -65,10 +64,11 @@ type Client struct {
 	// roundTrip already rotates through the whole fleet per attempt.
 	Resil *resil.Retrier
 
+	conns *transport.ConnSet
+
 	mu     sanitize.Mutex
 	addrs  []string
 	cur    int
-	conns  map[string]transport.Conn
 	closed bool
 	// cmSeq numbers grouped requests for the dedup token; clientID names
 	// this client instance in tokens and descriptor-delta tracking (unique
@@ -77,7 +77,7 @@ type Client struct {
 	clientID string
 	// Coalescer state. Only the sender activity performs grouped RPCs and
 	// touches the delta-descriptor cache; the mutex covers what crosses
-	// activities (connection map, stats counters, closed flag).
+	// activities (stats counters, closed flag).
 	startQ   env.Queue
 	senderOn bool
 	lastSrv  string
@@ -110,7 +110,6 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, addrs []str
 	c := &Client{
 		envr:           envr,
 		node:           node,
-		tr:             tr,
 		Retries:        2,
 		Coalesce:       true,
 		DeltaSnapshots: true,
@@ -118,7 +117,7 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, addrs []str
 		FinFlush:       100 * time.Microsecond,
 		Resil:          resil.NewRetrier(),
 		addrs:          append([]string(nil), addrs...),
-		conns:          make(map[string]transport.Conn),
+		conns:          transport.NewConnSet(tr, node),
 		clientID:       nextCMClientID(envr, nodeLabel(node)),
 	}
 	c.mu.SetName("commitmgr.Client.mu")
@@ -165,31 +164,6 @@ func (c *Client) Close() {
 	}
 }
 
-func (c *Client) conn(addr string) (transport.Conn, error) {
-	c.mu.Lock()
-	if conn, ok := c.conns[addr]; ok {
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	// Dial outside the lock: fleet rotation must keep trying other
-	// managers while one dial hangs.
-	conn, err := c.tr.Dial(c.node, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, ok := c.conns[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
-		conn.Close()
-		return exist, nil
-	}
-	c.conns[addr] = conn
-	return conn, nil
-}
-
 // roundTrip tries the current manager, rotating through the fleet on
 // failure. It returns the connection that served the request so callers can
 // model its wire time.
@@ -202,7 +176,7 @@ func (c *Client) roundTrip(ctx env.Ctx, req []byte) ([]byte, transport.Conn, err
 	ctx.Trace().R.CounterAdd(nodeLabel(c.node), "cm/msgs", 1)
 	for i := 0; i < n; i++ {
 		addr := c.addrs[(start+i)%n]
-		conn, err := c.conn(addr)
+		conn, err := c.conns.Get(addr)
 		if err != nil {
 			continue
 		}
@@ -409,8 +383,8 @@ func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fi
 	}
 	add(first)
 	drain := func() {
-		for len(starts) < max && len(fins) < maxGroupFins && c.startQ.Len() > 0 {
-			v, ok := c.startQ.Get(ctx)
+		for len(starts) < max && len(fins) < maxGroupFins {
+			v, ok := c.startQ.TryGet()
 			if !ok {
 				return
 			}

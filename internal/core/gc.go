@@ -1,12 +1,9 @@
 package core
 
 import (
-	"time"
-
 	"tell/internal/env"
 	"tell/internal/mvcc"
 	"tell/internal/relational"
-	"tell/internal/store"
 )
 
 // LazyGCResult summarizes one background garbage-collection pass.
@@ -20,7 +17,8 @@ type LazyGCResult struct {
 // LazyGC runs one background garbage-collection pass (§5.4's second, lazy
 // strategy, "useful for rarely accessed records"): every record of every
 // known table is pruned against the current lowest active version number,
-// and transaction-log entries below the lav checkpoint are dropped.
+// and transaction-log entries below the lav checkpoint are dropped. Nothing
+// runs it periodically: no deployment truncates its transaction log.
 func (pn *PN) LazyGC(ctx env.Ctx, tables []*TableInfo) (LazyGCResult, error) {
 	var res LazyGCResult
 	// Learn the current lav by asking the commit manager for a snapshot
@@ -70,17 +68,4 @@ func (pn *PN) LazyGC(ctx env.Ctx, tables []*TableInfo) (LazyGCResult, error) {
 		res.LogTruncated = n
 	}
 	return res, nil
-}
-
-// StartLazyGC launches the periodic background GC task (e.g. hourly in the
-// paper; experiments use shorter intervals).
-func (pn *PN) StartLazyGC(interval time.Duration, tables []*TableInfo) {
-	pn.node.Go("lazy-gc", func(ctx env.Ctx) {
-		for {
-			ctx.Sleep(interval)
-			if _, err := pn.LazyGC(ctx, tables); err == store.ErrUnavailable {
-				return
-			}
-		}
-	})
 }

@@ -96,6 +96,11 @@ type Queue interface {
 	Get(ctx Ctx) (v any, ok bool)
 	// GetTimeout is like Get but gives up after d.
 	GetTimeout(ctx Ctx, d time.Duration) (v any, ok, timedOut bool)
+	// TryGet takes the head value if there is one and never blocks or
+	// yields. Draining with TryGet is the only safe way for one of several
+	// consumers to take "what is already queued": between a Len and a Get
+	// a peer may empty the queue and leave the Get blocked.
+	TryGet() (v any, ok bool)
 	Close()
 	Len() int
 }

@@ -1,6 +1,7 @@
 package env_test
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,109 @@ func TestRealQueueTimeout(t *testing.T) {
 	})
 	if !<-res {
 		t.Fatal("expected timeout")
+	}
+}
+
+// TestRealQueueTimedHandOff passes a token back and forth between two
+// activities through GetTimeout. Each hand-off wakes a waiter that is
+// already asleep, so a wait that polls on a tick costs at least one tick
+// per hand-off; a real timed wait wakes on Put.
+func TestRealQueueTimedHandOff(t *testing.T) {
+	const handOffs = 1000
+	e := env.NewReal(7)
+	n := e.NewNode("n1", 2)
+	ping, pong := e.NewQueue(), e.NewQueue()
+	errs := make(chan string, 2)
+	relay := func(in, out env.Queue, first bool) func(env.Ctx) {
+		return func(ctx env.Ctx) {
+			if first {
+				out.Put(0)
+			}
+			for {
+				v, ok, timedOut := in.GetTimeout(ctx, time.Second)
+				if timedOut || !ok {
+					errs <- "hand-off timed out"
+					return
+				}
+				if i := v.(int); i < handOffs {
+					out.Put(i + 1)
+					continue
+				}
+				out.Put(handOffs)
+				errs <- ""
+				return
+			}
+		}
+	}
+	start := time.Now()
+	n.Go("ping", relay(ping, pong, true))
+	n.Go("pong", relay(pong, ping, false))
+	for i := 0; i < 2; i++ {
+		if msg := <-errs; msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	if el := time.Since(start); el >= 300*time.Millisecond {
+		t.Fatalf("%d timed hand-offs took %v, want < 300ms", handOffs, el)
+	}
+}
+
+// TestRealQueueTimeoutWakesOnClose: a timed waiter returns as soon as the
+// queue closes, not at its deadline.
+func TestRealQueueTimeoutWakesOnClose(t *testing.T) {
+	e := env.NewReal(7)
+	n := e.NewNode("n1", 1)
+	q := e.NewQueue()
+	type out struct{ ok, timedOut bool }
+	res := make(chan out, 1)
+	n.Go("c", func(ctx env.Ctx) {
+		_, ok, timedOut := q.GetTimeout(ctx, time.Minute)
+		res <- out{ok, timedOut}
+	})
+	time.Sleep(5 * time.Millisecond)
+	q.Close()
+	select {
+	case r := <-res:
+		if r.ok || r.timedOut {
+			t.Fatalf("ok=%v timedOut=%v after Close, want false/false", r.ok, r.timedOut)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed waiter did not wake on Close")
+	}
+}
+
+// TestTryGet: TryGet takes queued values in order without blocking, in
+// both environments, and keeps returning what was queued before Close.
+func TestTryGet(t *testing.T) {
+	check := func(q env.Queue) string {
+		if _, ok := q.TryGet(); ok {
+			return "TryGet on an empty queue reported a value"
+		}
+		q.Put(1)
+		q.Put(2)
+		q.Close()
+		for want := 1; want <= 2; want++ {
+			if v, ok := q.TryGet(); !ok || v.(int) != want {
+				return fmt.Sprintf("TryGet = %v, %v; want %d", v, ok, want)
+			}
+		}
+		if _, ok := q.TryGet(); ok {
+			return "TryGet on a drained queue reported a value"
+		}
+		return ""
+	}
+	if msg := check(env.NewReal(7).NewQueue()); msg != "" {
+		t.Fatal("real: " + msg)
+	}
+	var msg string
+	runSim(t, func(ctx env.Ctx, e env.Full) {
+		t0 := ctx.Now()
+		if msg = check(e.NewQueue()); msg == "" && ctx.Now() != t0 {
+			msg = "TryGet moved the virtual clock"
+		}
+	})
+	if msg != "" {
+		t.Fatal("sim: " + msg)
 	}
 }
 

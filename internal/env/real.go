@@ -147,25 +147,38 @@ func (q *realQueue) Get(ctx Ctx) (any, bool) {
 	}
 }
 
-func (q *realQueue) GetTimeout(ctx Ctx, d time.Duration) (any, bool, bool) {
-	deadline := time.Now().Add(d)
-	// sync.Cond has no timed wait; poll with a short interval. Timeouts in
-	// this codebase guard failure detection, not hot paths.
+func (q *realQueue) TryGet() (any, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.pop()
+}
+
+func (q *realQueue) GetTimeout(ctx Ctx, d time.Duration) (any, bool, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if v, ok := q.pop(); ok {
+		return v, true, false
+	}
+	// sync.Cond has no timed wait: a timer wakes every waiter at the
+	// deadline, and a waiter whose own deadline has not passed waits again.
+	deadline := time.Now().Add(d)
+	t := time.AfterFunc(d, func() {
+		q.mu.Lock()
+		q.cond.Broadcast()
+		q.mu.Unlock()
+	})
+	defer t.Stop()
 	for {
-		if v, ok := q.pop(); ok {
-			return v, true, false
-		}
 		if q.closed {
 			return nil, false, false
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return nil, false, true
 		}
-		q.mu.Unlock()
-		time.Sleep(time.Millisecond)
-		q.mu.Lock()
+		q.cond.Wait()
+		if v, ok := q.pop(); ok {
+			return v, true, false
+		}
 	}
 }
 

@@ -140,6 +140,8 @@ func (s *simQueue) Put(v any) { s.q.Put(v) }
 func (s *simQueue) Close()    { s.q.Close() }
 func (s *simQueue) Len() int  { return s.q.Len() }
 
+func (s *simQueue) TryGet() (any, bool) { return s.q.TryGet() }
+
 func (s *simQueue) Get(ctx Ctx) (any, bool) { return s.q.Get(proc(ctx)) }
 
 func (s *simQueue) GetTimeout(ctx Ctx, d time.Duration) (any, bool, bool) {

@@ -362,27 +362,6 @@ func Sec633(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationBatching — request batching on/off (§5.1).
-func AblationBatching(opt Options) (*Table, error) {
-	t := &Table{
-		ID:     "ablation-batching",
-		Title:  "Ablation: request batching (write-intensive, 4 PNs, RF1)",
-		Header: []string{"batching", "TpmC", "store requests", "ops/request"},
-	}
-	for _, off := range []bool{false, true} {
-		run, err := RunTell(opt, TellParams{PNs: 4, SNs: 5, NoBatching: off})
-		if err != nil {
-			return nil, err
-		}
-		label := "on"
-		if off {
-			label = "off"
-		}
-		t.AddRow(label, f0(run.Result.TpmC()), fmt.Sprint(run.NetRequests), f1(run.BatchFactor))
-	}
-	return t, nil
-}
-
 // AblationCoalesce — the commit-path message-coalescing ladder: grouped CM
 // operations (finish piggybacking + shared descriptor fetches), delta-encoded
 // snapshot descriptors, and adaptive store batching are enabled one at a
@@ -561,7 +540,6 @@ func Registry() map[string]func(Options) (*Table, error) {
 		"fig11":                Fig11,
 		"sec631":               Sec631,
 		"sec633":               Sec633,
-		"ablation-batching":    AblationBatching,
 		"ablation-coalesce":    AblationCoalesce,
 		"ablation-resilience":  AblationResilience,
 		"ablation-indexcache":  AblationIndexCache,

@@ -114,7 +114,6 @@ type TellParams struct {
 	CacheUnitSize     int
 	Mix               tpcc.Mix
 	SyncInterval      time.Duration
-	NoBatching        bool
 	NoIndexCache      bool
 	TidRange          int64
 	// InterleavedTids switches the commit managers to the interleaved
@@ -337,9 +336,6 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 	}
 	for i, pn := range s.PNs {
 		sc, cmc := s.StoreClients[i], s.CMClients[i]
-		if p.NoBatching {
-			sc.SetBatching(false)
-		}
 		// The deadline window only pays when it is small against the
 		// link round trip; on the simulated microsecond-scale fabrics
 		// the client's kernel-TCP default would dominate commit latency

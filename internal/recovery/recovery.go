@@ -20,14 +20,12 @@ import (
 	"tell/internal/store"
 	"tell/internal/transport"
 	"tell/internal/txlog"
-	"tell/internal/wire"
 )
 
 // Manager is the management node responsible for processing nodes.
 type Manager struct {
 	envr env.Full
 	node env.Node
-	tr   transport.Transport
 	sc   *store.Client
 	cm   *commitmgr.Client
 	log  *txlog.Log
@@ -39,12 +37,12 @@ type Manager struct {
 	// retr pins probes to the single-attempt ping policy: a transport-level
 	// retry inside one probe would count several misses per window and
 	// destroy the FailAfter calibration.
-	retr *resil.Retrier
+	retr  *resil.Retrier
+	conns *transport.ConnSet
 
 	mu      sanitize.Mutex
 	pns     map[string]bool // addr → declared dead
 	misses  map[string]int
-	conns   map[string]transport.Conn
 	stopped bool
 	// recovering serializes recovery processes ("the management node
 	// ensures that only one recovery process is running at a time").
@@ -61,7 +59,6 @@ func NewManager(envr env.Full, node env.Node, tr transport.Transport, sc *store.
 	m := &Manager{
 		envr:         envr,
 		node:         node,
-		tr:           tr,
 		sc:           sc,
 		cm:           cm,
 		log:          txlog.New(sc),
@@ -70,7 +67,7 @@ func NewManager(envr env.Full, node env.Node, tr transport.Transport, sc *store.
 		FailAfter:    3,
 		pns:          make(map[string]bool),
 		misses:       make(map[string]int),
-		conns:        make(map[string]transport.Conn),
+		conns:        transport.NewConnSet(tr, node),
 	}
 	m.mu.SetName("recovery.Manager.mu")
 	return m
@@ -127,7 +124,7 @@ func (m *Manager) monitor(ctx env.Ctx) {
 		m.mu.Unlock()
 
 		for _, addr := range targets {
-			alive := m.ping(ctx, addr)
+			alive := m.retr.Ping(ctx, m.conns, addr)
 			m.mu.Lock()
 			if alive {
 				m.misses[addr] = 0
@@ -152,50 +149,6 @@ func (m *Manager) monitor(ctx env.Ctx) {
 		}
 		ctx.Sleep(m.PingInterval)
 	}
-}
-
-func (m *Manager) ping(ctx env.Ctx, addr string) bool {
-	conn := m.conn(addr)
-	if conn == nil {
-		return false
-	}
-	// ClassPing allows exactly one attempt: one probe, one verdict. (The
-	// Do wrapper still brackets the probe so its outcome enters the
-	// deterministic retry schedule hash with the rest of the RPC paths.)
-	alive := false
-	_ = m.retr.Do(ctx, resil.ClassPing, addr, func(int) error {
-		resp, err := conn.RoundTrip(ctx, []byte{byte(wire.KindPing)})
-		if err != nil {
-			return err
-		}
-		alive = wire.PeekKind(resp) == wire.KindPong
-		return nil
-	})
-	return alive
-}
-
-func (m *Manager) conn(addr string) transport.Conn {
-	m.mu.Lock()
-	if c, ok := m.conns[addr]; ok {
-		m.mu.Unlock()
-		return c
-	}
-	m.mu.Unlock()
-	// Dial outside the lock: probes of other nodes must not wait on it.
-	c, err := m.tr.Dial(m.node, addr)
-	if err != nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if exist, ok := m.conns[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
-		c.Close()
-		return exist
-	}
-	m.conns[addr] = c
-	return c
 }
 
 // declareFailed queues the node for recovery; one recovery process handles

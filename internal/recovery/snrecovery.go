@@ -27,16 +27,16 @@ import (
 type SNRecoverer struct {
 	envr env.Full
 	node env.Node
-	tr   transport.Transport
 	be   durable.Backend
 	// retr retries replay RPCs under the meta policy: replaying an object is
 	// apply-if-newer on the receiving master, so a duplicate delivery after a
 	// lost response is harmless.
 	retr *resil.Retrier
 
-	mu    sanitize.Mutex
-	conns map[string]transport.Conn
-	last  RecoveryReport
+	conns *transport.ConnSet
+
+	mu   sanitize.Mutex
+	last RecoveryReport
 
 	// OnRecovered, if set, is called after each completed recovery.
 	OnRecovered func(r RecoveryReport)
@@ -58,10 +58,9 @@ func NewSNRecoverer(envr env.Full, node env.Node, tr transport.Transport, be dur
 	r := &SNRecoverer{
 		envr:  envr,
 		node:  node,
-		tr:    tr,
 		be:    be,
 		retr:  resil.NewRetrier(),
-		conns: make(map[string]transport.Conn),
+		conns: transport.NewConnSet(tr, node),
 	}
 	r.mu.SetName("recovery.SNRecoverer.mu")
 	return r
@@ -72,31 +71,6 @@ func (r *SNRecoverer) LastReport() RecoveryReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.last
-}
-
-func (r *SNRecoverer) conn(addr string) (transport.Conn, error) {
-	r.mu.Lock()
-	if c, ok := r.conns[addr]; ok {
-		r.mu.Unlock()
-		return c, nil
-	}
-	r.mu.Unlock()
-	// Dial outside the lock: recovery workers dial their survivors in
-	// parallel and must not serialize on one slow dial.
-	c, err := r.tr.Dial(r.node, addr)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if exist, ok := r.conns[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
-		c.Close()
-		return exist, nil
-	}
-	r.conns[addr] = c
-	return c, nil
 }
 
 // RecoverSN implements store.SNRecoverer. It lists the dead node's durable
@@ -174,18 +148,13 @@ func (r *SNRecoverer) RecoverSN(ctx env.Ctx, dead string, pids []uint64, survivo
 // requests keep every round-trip inside the transport's timeout budget.
 func (r *SNRecoverer) runWorker(ctx env.Ctx, worker, dead string, objs []string,
 	table []wire.RecoverAssign, report *RecoveryReport, repMu *sync.Mutex) error {
-	conn, err := r.conn(worker)
+	conn, err := r.conns.Get(worker)
 	if err != nil {
 		return fmt.Errorf("recovery: dial %s: %w", worker, err)
 	}
 	for _, obj := range objs {
 		req := &wire.RecoverRequest{Dead: dead, Objects: []string{obj}, Assign: table}
-		var raw []byte
-		err := r.retr.Do(ctx, resil.ClassMeta, worker, func(int) error {
-			var rtErr error
-			raw, rtErr = conn.RoundTrip(ctx, req.Encode())
-			return rtErr
-		})
+		raw, _, err := r.retr.Call(ctx, resil.ClassMeta, worker, conn, req.Encode(), nil)
 		if err != nil {
 			return fmt.Errorf("recovery: worker %s object %s: %w", worker, obj, err)
 		}

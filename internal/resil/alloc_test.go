@@ -6,7 +6,13 @@
 
 package resil_test
 
-import "testing"
+import (
+	"testing"
+
+	"tell/internal/env"
+	"tell/internal/resil"
+	"tell/internal/transport"
+)
 
 // TestWindowCommitAllocs pins a tokened write against a full window — the
 // steady state of a long run, where every commit evicts — at one allocation:
@@ -23,3 +29,29 @@ func TestWindowCommitAllocs(t *testing.T) {
 		t.Fatalf("Begin+Commit on a full window allocates %.0f times, want 1 (the cloned response)", n)
 	}
 }
+
+// TestCallAllocs pins a successful retried call at zero allocations: it sits
+// on the store client's per-batch path, and the attempt closure and the
+// caller's response check must both stay on the stack.
+func TestCallAllocs(t *testing.T) {
+	e := env.NewReal(1)
+	ctx, _ := env.DetachedCtx(e.NewNode("pn0", 1))
+	r := resil.NewRetrier()
+	var conn transport.Conn = okConn("ok")
+	req := []byte("request")
+	var checked int
+	check := func([]byte) error { checked++; return nil }
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, err := r.Call(ctx, resil.ClassWrite, "sn0", conn, req, check); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Call allocates %.0f times, want 0", n)
+	}
+}
+
+// okConn answers every request with itself, recording nothing.
+type okConn []byte
+
+func (c okConn) RoundTrip(env.Ctx, []byte) ([]byte, error) { return c, nil }
+func (c okConn) Close() error                              { return nil }

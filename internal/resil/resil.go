@@ -21,6 +21,8 @@ import (
 	"tell/internal/env"
 	"tell/internal/sanitize"
 	"tell/internal/trace"
+	"tell/internal/transport"
+	"tell/internal/wire"
 )
 
 // Class partitions RPCs into the message classes of the resilience policy
@@ -217,6 +219,47 @@ func (r *Retrier) Do(ctx env.Ctx, class Class, addr string, fn func(attempt int)
 		}
 	}
 	return unwrapPermanent(err)
+}
+
+// Call is the one way to send a request to a peer: it runs Do with every
+// attempt a conn.RoundTrip of the identical bytes req, so a resend is
+// indistinguishable from a duplicate and the peer's dedup window or
+// apply-if-newer rule decides what runs. check, when non-nil, vets each
+// response the way fn's result is treated in Do: nil accepts it, a
+// Permanent error stops (an undecodable response, a refusal), any other
+// error is retried (a shed request). retried reports whether the returned
+// response answered a resend, whose first copy may already have been
+// applied.
+func (r *Retrier) Call(ctx env.Ctx, class Class, addr string, conn transport.Conn, req []byte,
+	check func(resp []byte) error) (resp []byte, retried bool, err error) {
+	err = r.Do(ctx, class, addr, func(attempt int) error {
+		retried = attempt > 0
+		var rtErr error
+		if resp, rtErr = conn.RoundTrip(ctx, req); rtErr != nil {
+			return rtErr
+		}
+		if check != nil {
+			return check(resp)
+		}
+		return nil
+	})
+	return resp, retried, err
+}
+
+// pingReq is the failure detectors' probe.
+var pingReq = []byte{byte(wire.KindPing)}
+
+// Ping probes addr once under ClassPing, which allows exactly one attempt:
+// one probe, one verdict (a retry inside a probe would count several misses
+// per detector window). The probe still runs through Do so its outcome
+// enters the breaker and the retry schedule like every other RPC.
+func (r *Retrier) Ping(ctx env.Ctx, conns *transport.ConnSet, addr string) bool {
+	conn, err := conns.Get(addr)
+	if err != nil {
+		return false
+	}
+	resp, _, err := r.Call(ctx, ClassPing, addr, conn, pingReq, nil)
+	return err == nil && wire.PeekKind(resp) == wire.KindPong
 }
 
 func unwrapPermanent(err error) error {

@@ -163,6 +163,10 @@ func (q *Queue) Close() {
 
 func (q *Queue) unlink(p *Proc) { q.waiters.remove(p) }
 
+// TryGet takes the head value without blocking: it pops exactly what Get
+// would on a non-empty queue, and the clock cannot move.
+func (q *Queue) TryGet() (v any, ok bool) { return q.pop() }
+
 func (q *Queue) pop() (any, bool) {
 	if q.head < len(q.buf) {
 		v := q.buf[q.head]

@@ -40,7 +40,6 @@ var (
 type Client struct {
 	envr    env.Full
 	node    env.Node
-	tr      transport.Transport
 	mgrAddr string
 
 	// MaxBatch bounds how many ops one request may carry.
@@ -70,11 +69,11 @@ type Client struct {
 	// idempotency token the storage node dedups on.
 	Resil *resil.Retrier
 
+	conns *transport.ConnSet
+
 	mu       sanitize.Mutex
 	pmap     *PartitionMap
-	conns    map[string]transport.Conn
 	batchers map[string]*batcher
-	batching bool
 	closed   bool
 	seq      uint64 // idempotency-token sequence (per client, never reused)
 
@@ -106,14 +105,13 @@ func nextClientID(envr env.Env, node string) string {
 }
 
 // NewClient creates a client on the given node. mgrAddr is the management
-// node used as the lookup service. Batching is enabled by default.
+// node used as the lookup service.
 func NewClient(envr env.Full, node env.Node, tr transport.Transport, mgrAddr string) *Client {
 	r := resil.NewRetrier()
 	r.Breakers = resil.NewBreakerSet(3, 10*time.Millisecond)
 	return &Client{
 		envr:        envr,
 		node:        node,
-		tr:          tr,
 		mgrAddr:     mgrAddr,
 		MaxBatch:    64,
 		BatchWindow: 20 * time.Microsecond,
@@ -121,9 +119,8 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, mgrAddr str
 		Retries:     10,
 		RetryDelay:  2 * time.Millisecond,
 		Resil:       r,
-		conns:       make(map[string]transport.Conn),
+		conns:       transport.NewConnSet(tr, node),
 		batchers:    make(map[string]*batcher),
-		batching:    true,
 		clientID:    nextClientID(envr, node.Name()),
 	}
 }
@@ -136,10 +133,6 @@ func (c *Client) nextSeq() uint64 {
 	c.mu.Unlock()
 	return s
 }
-
-// SetBatching toggles cross-transaction request batching (the batching
-// ablation experiment turns it off).
-func (c *Client) SetBatching(on bool) { c.batching = on }
 
 // ErrClosed is returned by operations issued after Close.
 var ErrClosed = errors.New("store: client closed")
@@ -156,10 +149,7 @@ func (c *Client) Close() {
 	for _, addr := range det.Keys(c.batchers) {
 		c.batchers[addr].q.Close()
 	}
-	for _, addr := range det.Keys(c.conns) {
-		//lint:allow errdiscard client teardown: the conns are being abandoned and in-flight failures are expected
-		c.conns[addr].Close()
-	}
+	c.conns.Close()
 }
 
 // Ops returns the number of storage operations issued.
@@ -179,22 +169,14 @@ func (c *Client) Batches() uint64 {
 
 // refreshMap fetches the partition map from the lookup service.
 func (c *Client) refreshMap(ctx env.Ctx) error {
-	conn, err := c.conn(c.mgrAddr)
+	conn, err := c.conns.Get(c.mgrAddr)
 	if err != nil {
 		return err
 	}
 	var pm *PartitionMap
-	req := encodeMetaGetMap()
-	err = c.Resil.Do(ctx, resil.ClassMeta, c.mgrAddr, func(int) error {
-		raw, err := conn.RoundTrip(ctx, req)
-		if err != nil {
-			return err
-		}
+	_, _, err = c.Resil.Call(ctx, resil.ClassMeta, c.mgrAddr, conn, encodeMetaGetMap(), func(raw []byte) (err error) {
 		pm, err = decodeMapResp(raw)
-		if err != nil {
-			return resil.Permanent(err)
-		}
-		return nil
+		return resil.Permanent(err)
 	})
 	if err != nil {
 		return err
@@ -270,41 +252,6 @@ func (c *Client) getMap(ctx env.Ctx) (*PartitionMap, error) {
 		return nil, ErrUnavailable
 	}
 	return pm, nil
-}
-
-func (c *Client) conn(addr string) (transport.Conn, error) {
-	c.mu.Lock()
-	if conn, ok := c.conns[addr]; ok {
-		c.mu.Unlock()
-		return conn, nil
-	}
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	// Dial outside the lock: a slow dial (TCP under faults) must not stall
-	// every other connection lookup.
-	conn, err := c.tr.Dial(c.node, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, ok := c.conns[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
-		conn.Close()
-		return exist, nil
-	}
-	if c.closed {
-		// Close ran during the dial and will not see this connection.
-		//lint:allow errdiscard closing a just-dialed connection nothing was sent on
-		conn.Close()
-		return nil, ErrClosed
-	}
-	c.conns[addr] = conn
-	return conn, nil
 }
 
 // batchReply carries one op's outcome through a future, along with the
@@ -404,17 +351,13 @@ func (c *Client) enqueue(addr string, p *pendingOp) error {
 func (b *batcher) run(ctx env.Ctx) {
 	// One response struct per sender, reused across batches: DecodeFrom
 	// overwrites it in place, so steady state decodes without allocating.
-	var resp wire.StoreResponse
+	var resp storeReply
 	for {
 		v, ok := b.q.Get(ctx)
 		if !ok {
 			return
 		}
-		batch := []*pendingOp{v.(*pendingOp)}
-		for b.q.Len() > 0 && len(batch) < b.c.MaxBatch {
-			v, _ := b.q.Get(ctx)
-			batch = append(batch, v.(*pendingOp))
-		}
+		batch := b.drain([]*pendingOp{v.(*pendingOp)})
 		// Adaptive deadline window: when recent traffic suggests more ops
 		// are coming, hold the batch briefly so concurrent transactions
 		// can widen it instead of paying their own round trip.
@@ -429,11 +372,7 @@ func (b *batcher) run(ctx env.Ctx) {
 				if timedOut || !ok {
 					break
 				}
-				batch = append(batch, v.(*pendingOp))
-				for b.q.Len() > 0 && len(batch) < b.c.MaxBatch {
-					v, _ := b.q.Get(ctx)
-					batch = append(batch, v.(*pendingOp))
-				}
+				batch = b.drain(append(batch, v.(*pendingOp)))
 			}
 		}
 		b.observe(len(batch))
@@ -441,10 +380,38 @@ func (b *batcher) run(ctx env.Ctx) {
 	}
 }
 
+// drain adds what is already queued to batch, up to MaxBatch, without
+// waiting: the senders share the queue, so whatever a peer takes first is
+// simply not in this batch.
+func (b *batcher) drain(batch []*pendingOp) []*pendingOp {
+	for len(batch) < b.c.MaxBatch {
+		v, ok := b.q.TryGet()
+		if !ok {
+			break
+		}
+		batch = append(batch, v.(*pendingOp))
+	}
+	return batch
+}
+
 // errOverload is the client-side face of wire.StatusOverload: the server's
 // admission gate shed the request before execution, so a backoff-and-resend
 // of the identical bytes is always safe.
 var errOverload = errors.New("store: server overloaded")
+
+// storeReply is a store response decoded in place by its Retrier.Call check:
+// an undecodable response is permanent, a shed one is resent.
+type storeReply struct{ wire.StoreResponse }
+
+func (r *storeReply) check(raw []byte) error {
+	if err := r.DecodeFrom(raw); err != nil {
+		return resil.Permanent(err)
+	}
+	if r.Status == wire.StatusOverload {
+		return errOverload
+	}
+	return nil
+}
 
 // batchClass picks the retry policy for a batch: the write policy as soon
 // as one op mutates (tokens make that safe), the read policy otherwise.
@@ -457,7 +424,7 @@ func batchClass(ops []wire.Op) resil.Class {
 	return resil.ClassRead
 }
 
-func (b *batcher) send(ctx env.Ctx, batch []*pendingOp, resp *wire.StoreResponse) {
+func (b *batcher) send(ctx env.Ctx, batch []*pendingOp, resp *storeReply) {
 	req := &wire.StoreRequest{Client: b.c.clientID, Ops: make([]wire.Op, len(batch))}
 	for i, p := range batch {
 		req.Ops[i] = p.op
@@ -486,31 +453,14 @@ func (b *batcher) send(ctx env.Ctx, batch []*pendingOp, resp *wire.StoreResponse
 		sendAt = ctx.Now()
 	}
 
-	conn, err := b.c.conn(b.addr)
+	conn, err := b.c.conns.Get(b.addr)
 	if err == nil {
-		// Encode once and retry the identical bytes: every attempt carries
-		// the same idempotency tokens, so the node executes each write at
-		// most once no matter how many copies arrive.
+		// Every attempt carries the same idempotency tokens, so the node
+		// executes each write at most once no matter how many copies arrive.
 		enc := req.Encode()
 		var raw []byte
-		retried := false
-		err = b.c.Resil.Do(ctx, batchClass(req.Ops), b.addr, func(attempt int) error {
-			if attempt > 0 {
-				retried = true
-			}
-			var rtErr error
-			raw, rtErr = conn.RoundTrip(ctx, enc)
-			if rtErr != nil {
-				return rtErr
-			}
-			if rtErr = resp.DecodeFrom(raw); rtErr != nil {
-				return resil.Permanent(rtErr)
-			}
-			if resp.Status == wire.StatusOverload {
-				return errOverload
-			}
-			return nil
-		})
+		var retried bool
+		raw, retried, err = b.c.Resil.Call(ctx, batchClass(req.Ops), b.addr, conn, enc, resp.check)
 		if err == nil {
 			if len(resp.Map) > 0 {
 				b.c.installMap(resp.Map)
@@ -559,12 +509,6 @@ func (c *Client) execBatch(ctx env.Ctx, ops []wire.Op) ([]wire.Result, error) {
 	}
 	results := make([]wire.Result, len(ops))
 	futs := make([]env.Future, len(ops))
-	type direct struct {
-		addr    string
-		ops     []wire.Op
-		indices []int
-	}
-	var directs map[string]*direct
 	for i := range ops {
 		part, ok := pm.LookupKey(ops[i].Key)
 		if !ok || part.Master == "" {
@@ -584,78 +528,15 @@ func (c *Client) execBatch(ctx env.Ctx, ops []wire.Op) ([]wire.Result, error) {
 				}
 			}
 		}
-		if c.batching {
-			p := &pendingOp{op: op, fut: c.envr.NewFuture()}
-			if sc := ctx.Trace(); sc.R != nil {
-				p.span = sc.Span
-				p.enq = ctx.Now()
-			}
-			if err := c.enqueue(addr, p); err != nil {
-				return nil, err
-			}
-			futs[i] = p.fut
-		} else {
-			if directs == nil {
-				directs = make(map[string]*direct)
-			}
-			d, ok := directs[addr]
-			if !ok {
-				d = &direct{addr: addr}
-				directs[addr] = d
-			}
-			d.ops = append(d.ops, op)
-			d.indices = append(d.indices, i)
+		p := &pendingOp{op: op, fut: c.envr.NewFuture()}
+		if sc := ctx.Trace(); sc.R != nil {
+			p.span = sc.Span
+			p.enq = ctx.Now()
 		}
-	}
-	// Non-batching path: one request per destination carrying only this
-	// call's ops (still grouped per destination, as a single transaction
-	// would do on its own). Destinations go out in sorted order so request
-	// emission is deterministic.
-	for _, addr := range det.Keys(directs) {
-		d := directs[addr]
-		req := &wire.StoreRequest{Epoch: pm.Epoch, Client: c.clientID, Ops: d.ops}
-		c.mu.Lock()
-		c.nBatches++
-		c.nOps += uint64(len(d.indices))
-		c.mu.Unlock()
-		var resp *wire.StoreResponse
-		conn, err := c.conn(d.addr)
-		if err == nil {
-			enc := req.Encode()
-			retried := false
-			err = c.Resil.Do(ctx, batchClass(req.Ops), d.addr, func(attempt int) error {
-				if attempt > 0 {
-					retried = true
-				}
-				raw, rtErr := conn.RoundTrip(ctx, enc)
-				if rtErr != nil {
-					return rtErr
-				}
-				resp, rtErr = wire.DecodeStoreResponse(raw)
-				if rtErr != nil {
-					return resil.Permanent(rtErr)
-				}
-				if resp.Status == wire.StatusOverload {
-					return errOverload
-				}
-				return nil
-			})
-			if err == nil && retried {
-				for k := range resp.Results {
-					resp.Results[k].MarkRetried()
-				}
-			}
-			if err == nil && len(resp.Map) > 0 {
-				c.installMap(resp.Map)
-			}
+		if err := c.enqueue(addr, p); err != nil {
+			return nil, err
 		}
-		for k, i := range d.indices {
-			if err != nil || resp == nil || k >= len(resp.Results) {
-				results[i] = wire.Result{Status: wire.StatusUnavailable}
-			} else {
-				results[i] = resp.Results[k]
-			}
-		}
+		futs[i] = p.fut
 	}
 	sc := ctx.Trace()
 	var waitStart, maxQwait, maxNet time.Duration
@@ -852,93 +733,7 @@ func (c *Client) CounterAdd(ctx env.Ctx, key []byte, delta int64) (int64, error)
 // when reverse is set). It fans out to every partition master and merges.
 // Scans bypass the batcher: they carry bulk payloads (§5.2).
 func (c *Client) Scan(ctx env.Ctx, lo, hi []byte, limit int, reverse bool) ([]wire.Pair, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if attempt > 0 {
-			ctx.Sleep(c.RetryDelay)
-			if err := c.refreshMap(ctx); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		pairs, err := c.scanOnce(ctx, lo, hi, limit, reverse)
-		if err == nil || errors.Is(err, ErrClosed) {
-			return pairs, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func (c *Client) scanOnce(ctx env.Ctx, lo, hi []byte, limit int, reverse bool) ([]wire.Pair, error) {
-	pm, err := c.getMap(ctx)
-	if err != nil {
-		return nil, err
-	}
-	masters := pm.Masters()
-	type scanOut struct {
-		pairs []wire.Pair
-		err   error
-	}
-	futs := make([]env.Future, len(masters))
-	op := wire.Op{Code: wire.OpScan, Key: lo, EndKey: hi, Limit: uint32(limit), Reverse: reverse}
-	req := (&wire.StoreRequest{Epoch: pm.Epoch, Ops: []wire.Op{op}}).Encode()
-	for i, addr := range masters {
-		i, addr := i, addr
-		futs[i] = c.envr.NewFuture()
-		ctx.Go("scan", func(sctx env.Ctx) {
-			conn, err := c.conn(addr)
-			if err != nil {
-				futs[i].Set(scanOut{err: err})
-				return
-			}
-			var resp *wire.StoreResponse
-			err = c.Resil.Do(sctx, resil.ClassRead, addr, func(int) error {
-				raw, rtErr := conn.RoundTrip(sctx, req)
-				if rtErr != nil {
-					return rtErr
-				}
-				resp, rtErr = wire.DecodeStoreResponse(raw)
-				if rtErr != nil {
-					return resil.Permanent(rtErr)
-				}
-				if resp.Status == wire.StatusOverload {
-					return errOverload
-				}
-				return nil
-			})
-			if err != nil {
-				futs[i].Set(scanOut{err: err})
-				return
-			}
-			if len(resp.Results) != 1 || resp.Results[0].Status != wire.StatusOK {
-				futs[i].Set(scanOut{err: ErrUnavailable})
-				return
-			}
-			futs[i].Set(scanOut{pairs: resp.Results[0].Pairs})
-		})
-	}
-	sc := ctx.Trace()
-	t0 := ctx.Now()
-	var all []wire.Pair
-	for _, f := range futs {
-		out := f.Get(ctx).(scanOut)
-		if out.err != nil {
-			sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
-			return nil, out.err
-		}
-		all = append(all, out.pairs...)
-	}
-	sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
-	if reverse {
-		sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) > 0 })
-	} else {
-		sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) < 0 })
-	}
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	return all, nil
+	return c.scan(ctx, wire.Op{Code: wire.OpScan, Key: lo, EndKey: hi, Limit: uint32(limit), Reverse: reverse})
 }
 
 // ScanFiltered runs a push-down scan (§5.2): every partition master
@@ -946,6 +741,12 @@ func (c *Client) scanOnce(ctx env.Ctx, lo, hi []byte, limit int, reverse bool) (
 // only matching, projected rows. Traffic shrinks accordingly; see the
 // ext-pushdown experiment.
 func (c *Client) ScanFiltered(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, limit int) ([]wire.Pair, error) {
+	return c.scan(ctx, wire.Op{Code: wire.OpScanFiltered, Key: lo, EndKey: hi, Limit: uint32(limit), Val: spec.Encode()})
+}
+
+// scan runs one scan op against every partition, re-fetching the map and
+// starting over when a partition fails.
+func (c *Client) scan(ctx env.Ctx, op wire.Op) ([]wire.Pair, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {
@@ -955,7 +756,7 @@ func (c *Client) ScanFiltered(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, limit 
 				continue
 			}
 		}
-		pairs, err := c.scanFilteredOnce(ctx, lo, hi, spec, limit)
+		pairs, err := c.scanOnce(ctx, op)
 		if err == nil || errors.Is(err, ErrClosed) {
 			return pairs, err
 		}
@@ -964,58 +765,31 @@ func (c *Client) ScanFiltered(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, limit 
 	return nil, lastErr
 }
 
-func (c *Client) scanFilteredOnce(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, limit int) ([]wire.Pair, error) {
+// scanOut is one partition's share of a scan.
+type scanOut struct {
+	pairs []wire.Pair
+	err   error
+}
+
+// scanOnce sends op to every partition master in parallel, one activity
+// each, and merges their answers in key order.
+func (c *Client) scanOnce(ctx env.Ctx, op wire.Op) ([]wire.Pair, error) {
 	pm, err := c.getMap(ctx)
 	if err != nil {
 		return nil, err
 	}
 	masters := pm.Masters()
-	type scanOut struct {
-		pairs []wire.Pair
-		err   error
-	}
 	futs := make([]env.Future, len(masters))
-	op := wire.Op{
-		Code:   wire.OpScanFiltered,
-		Key:    lo,
-		EndKey: hi,
-		Limit:  uint32(limit),
-		Val:    spec.Encode(),
-	}
 	req := (&wire.StoreRequest{Epoch: pm.Epoch, Ops: []wire.Op{op}}).Encode()
+	name := "scan"
+	if op.Code == wire.OpScanFiltered {
+		name = "scanf"
+	}
 	for i, addr := range masters {
 		i, addr := i, addr
 		futs[i] = c.envr.NewFuture()
-		ctx.Go("scanf", func(sctx env.Ctx) {
-			conn, err := c.conn(addr)
-			if err != nil {
-				futs[i].Set(scanOut{err: err})
-				return
-			}
-			var resp *wire.StoreResponse
-			err = c.Resil.Do(sctx, resil.ClassRead, addr, func(int) error {
-				raw, rtErr := conn.RoundTrip(sctx, req)
-				if rtErr != nil {
-					return rtErr
-				}
-				resp, rtErr = wire.DecodeStoreResponse(raw)
-				if rtErr != nil {
-					return resil.Permanent(rtErr)
-				}
-				if resp.Status == wire.StatusOverload {
-					return errOverload
-				}
-				return nil
-			})
-			if err != nil {
-				futs[i].Set(scanOut{err: err})
-				return
-			}
-			if len(resp.Results) != 1 || resp.Results[0].Status != wire.StatusOK {
-				futs[i].Set(scanOut{err: ErrUnavailable})
-				return
-			}
-			futs[i].Set(scanOut{pairs: resp.Results[0].Pairs})
+		ctx.Go(name, func(sctx env.Ctx) {
+			futs[i].Set(c.scanPartition(sctx, addr, req))
 		})
 	}
 	sc := ctx.Trace()
@@ -1030,9 +804,29 @@ func (c *Client) scanFilteredOnce(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, li
 		all = append(all, out.pairs...)
 	}
 	sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
-	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) < 0 })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
+	if op.Reverse {
+		sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) > 0 })
+	} else {
+		sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) < 0 })
+	}
+	if op.Limit > 0 && len(all) > int(op.Limit) {
+		all = all[:op.Limit]
 	}
 	return all, nil
+}
+
+// scanPartition sends one encoded scan request to the master at addr.
+func (c *Client) scanPartition(ctx env.Ctx, addr string, req []byte) scanOut {
+	conn, err := c.conns.Get(addr)
+	if err != nil {
+		return scanOut{err: err}
+	}
+	var resp storeReply
+	if _, _, err := c.Resil.Call(ctx, resil.ClassRead, addr, conn, req, resp.check); err != nil {
+		return scanOut{err: err}
+	}
+	if len(resp.Results) != 1 || resp.Results[0].Status != wire.StatusOK {
+		return scanOut{err: ErrUnavailable}
+	}
+	return scanOut{pairs: resp.Results[0].Pairs}
 }

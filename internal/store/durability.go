@@ -514,18 +514,13 @@ func (sn *Node) handleRecover(ctx env.Ctx, raw []byte) []byte {
 			if end > len(ms) {
 				end = len(ms)
 			}
-			conn, err := sn.conn(target)
+			conn, err := sn.conns.Get(target)
 			if err != nil {
 				return (&wire.RecoverResponse{Status: wire.StatusUnavailable}).Encode()
 			}
 			rr := &wire.ReplicateRequest{PartitionID: pid, Mutations: ms[off:end]}
 			// Apply-if-newer on the receiving master makes re-sends safe.
-			var raw []byte
-			err = sn.retr.Do(ctx, resil.ClassReplicate, target, func(int) error {
-				var rtErr error
-				raw, rtErr = conn.RoundTrip(ctx, rr.Encode())
-				return rtErr
-			})
+			raw, _, err := sn.retr.Call(ctx, resil.ClassReplicate, target, conn, rr.Encode(), nil)
 			if err != nil {
 				return (&wire.RecoverResponse{Status: wire.StatusUnavailable}).Encode()
 			}

@@ -34,14 +34,14 @@ type Manager struct {
 	// single-attempt ClassPing so the FailAfter calibration holds, and
 	// failover pushes use ClassMeta so a transient drop does not strand a
 	// survivor on a stale partition map.
-	retr *resil.Retrier
+	retr  *resil.Retrier
+	conns *transport.ConnSet
 
 	mu      sanitize.Mutex
 	pmap    *PartitionMap
 	spares  []string
 	dead    map[string]bool
 	misses  map[string]int
-	conns   map[string]transport.Conn
 	stopped bool
 
 	// OnFailover, if set, is called (without the lock) after a node has
@@ -123,7 +123,7 @@ func NewManager(addr string, envr env.Full, node env.Node, tr transport.Transpor
 		dead:              make(map[string]bool),
 		misses:            make(map[string]int),
 		probing:           make(map[string]bool),
-		conns:             make(map[string]transport.Conn),
+		conns:             transport.NewConnSet(tr, node),
 	}
 	m.mu.SetName("store.Manager.mu")
 	return m
@@ -243,16 +243,7 @@ func (m *Manager) collectExt(ctx env.Ctx) *wire.StatsExt {
 	agg := &wire.StatsExt{Node: m.addr}
 	req := wire.EncodeStatsExtReq()
 	for _, addr := range targets {
-		conn, err := m.conn(addr)
-		if err != nil {
-			continue
-		}
-		var raw []byte
-		err = m.retr.Do(ctx, resil.ClassMeta, addr, func(int) error {
-			var rtErr error
-			raw, rtErr = conn.RoundTrip(ctx, req)
-			return rtErr
-		})
+		raw, err := m.metaCall(ctx, addr, req)
 		if err != nil {
 			continue
 		}
@@ -279,7 +270,7 @@ func (m *Manager) monitor(ctx env.Ctx) {
 		m.mu.Unlock()
 
 		for _, addr := range targets {
-			alive := m.ping(ctx, addr)
+			alive := m.retr.Ping(ctx, m.conns, addr)
 			m.mu.Lock()
 			if alive {
 				m.misses[addr] = 0
@@ -320,7 +311,7 @@ func (m *Manager) probeDead() {
 	for _, addr := range probes {
 		addr := addr
 		m.node.Go("rejoin-probe", func(ctx env.Ctx) {
-			alive := m.ping(ctx, addr)
+			alive := m.retr.Ping(ctx, m.conns, addr)
 			m.mu.Lock()
 			delete(m.probing, addr)
 			if !alive || !m.dead[addr] || m.stopped {
@@ -335,14 +326,9 @@ func (m *Manager) probeDead() {
 			m.known[addr] = true
 			pm := m.pmap.Clone()
 			m.mu.Unlock()
-			cfg := encodeMetaConfigure(pm)
-			if conn, err := m.conn(addr); err == nil {
-				//lint:allow errdiscard best-effort: a rejoined node that misses the push answers from an empty or older map and is demoted by the next configure
-				m.retr.Do(ctx, resil.ClassMeta, addr, func(int) error {
-					_, err := conn.RoundTrip(ctx, cfg)
-					return err
-				})
-			}
+			// Best-effort: a rejoined node that misses the push answers from
+			// an empty or older map and is demoted by the next configure.
+			_, _ = m.metaCall(ctx, addr, encodeMetaConfigure(pm))
 		})
 	}
 }
@@ -369,49 +355,6 @@ func (m *Manager) liveNodesLocked() []string {
 		add(a)
 	}
 	return out
-}
-
-func (m *Manager) ping(ctx env.Ctx, addr string) bool {
-	conn, err := m.conn(addr)
-	if err != nil {
-		return false
-	}
-	// ClassPing allows exactly one attempt: one probe, one verdict.
-	alive := false
-	_ = m.retr.Do(ctx, resil.ClassPing, addr, func(int) error {
-		resp, err := conn.RoundTrip(ctx, []byte{byte(wire.KindPing)})
-		if err != nil {
-			return err
-		}
-		alive = wire.PeekKind(resp) == wire.KindPong
-		return nil
-	})
-	return alive
-}
-
-func (m *Manager) conn(addr string) (transport.Conn, error) {
-	m.mu.Lock()
-	if c, ok := m.conns[addr]; ok {
-		m.mu.Unlock()
-		return c, nil
-	}
-	m.mu.Unlock()
-	// Dial outside the lock: the failure detector must keep probing other
-	// nodes while one dial hangs.
-	c, err := m.tr.Dial(m.node, addr)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if exist, ok := m.conns[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
-		c.Close()
-		return exist, nil
-	}
-	m.conns[addr] = c
-	return c, nil
 }
 
 // failover removes deadAddr from the map, promoting replicas to master
@@ -501,23 +444,12 @@ func (m *Manager) failover(ctx env.Ctx, deadAddr string) {
 	// declared dead itself, and clients refetch the map on Unavailable.
 	cfg := encodeMetaConfigure(newMap)
 	for _, addr := range targets {
-		if conn, err := m.conn(addr); err == nil {
-			_ = m.retr.Do(ctx, resil.ClassMeta, addr, func(int) error {
-				_, err := conn.RoundTrip(ctx, cfg)
-				return err
-			})
-		}
+		_, _ = m.metaCall(ctx, addr, cfg)
 	}
 	// Backfill new replicas from their masters. Apply-if-newer on the
 	// replica makes this safe concurrently with live writes.
 	for _, tr := range transfers {
-		if conn, err := m.conn(tr.master); err == nil {
-			req := encodeMetaTransfer(tr.pid, tr.target)
-			_ = m.retr.Do(ctx, resil.ClassMeta, tr.master, func(int) error {
-				_, err := conn.RoundTrip(ctx, req)
-				return err
-			})
-		}
+		_, _ = m.metaCall(ctx, tr.master, encodeMetaTransfer(tr.pid, tr.target))
 	}
 	if m.OnFailover != nil {
 		m.OnFailover(deadAddr)

@@ -121,18 +121,13 @@ func (sn *Node) fillMigStats(ext *wire.StatsExt) {
 // protocol (apply-if-newer + WAL on the receiving side, so re-sends are
 // safe). Returns the encoded request size.
 func (sn *Node) shipChunk(ctx env.Ctx, pid uint64, target string, ms []wire.Mutation) (int, bool) {
-	conn, err := sn.conn(target)
+	conn, err := sn.conns.Get(target)
 	if err != nil {
 		return 0, false
 	}
 	req := &wire.ReplicateRequest{PartitionID: pid, Mutations: ms}
 	enc := req.Encode()
-	var raw []byte
-	err = sn.retr.Do(ctx, resil.ClassReplicate, target, func(int) error {
-		var rtErr error
-		raw, rtErr = conn.RoundTrip(ctx, enc)
-		return rtErr
-	})
+	raw, _, err := sn.retr.Call(ctx, resil.ClassReplicate, target, conn, enc, nil)
 	if err != nil {
 		return 0, false
 	}

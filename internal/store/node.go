@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"tell/internal/det"
@@ -56,7 +57,6 @@ type Node struct {
 	pmap    *PartitionMap
 	masters []Partition
 
-	conns   map[string]transport.Conn
 	deadRep map[string]bool // replicas that timed out; skipped until reconfigured
 
 	// dedup is the exactly-once window: client write retries replay their
@@ -69,7 +69,8 @@ type Node struct {
 	gate *resil.Gate
 	// retr retries replication sends (idempotent: replicas apply-if-newer
 	// by stamp) before declaring a replica dead.
-	retr *resil.Retrier
+	retr  *resil.Retrier
+	conns *transport.ConnSet
 
 	// dur is the durability tier (WAL + fuzzy checkpoints), nil when the
 	// node runs memory-only. See durability.go.
@@ -91,11 +92,26 @@ type Node struct {
 	// stats
 	nGets, nWrites, nScans uint64
 
-	// obs is the optional telemetry pipeline; obsHeat the node's per-range
-	// heat tracker within it. Both are nil-safe, so the hot-path hooks stay
-	// unconditional and cost nothing when telemetry is off.
-	obs     *obs.Pipeline
-	obsHeat *obs.Heat
+	// tel is the optional telemetry pipeline and the node's per-range heat
+	// tracker within it. SetObs may run after the node started serving (an
+	// embedded cluster attaches telemetry once it is assembled), so handlers
+	// load it atomically. Both are nil-safe, so the hot-path hooks cost
+	// nothing when telemetry is off.
+	tel atomic.Pointer[nodeTel]
+}
+
+type nodeTel struct {
+	p    *obs.Pipeline
+	heat *obs.Heat
+}
+
+// telemetry returns the pipeline and this node's heat tracker, both nil
+// when telemetry is off.
+func (sn *Node) telemetry() (*obs.Pipeline, *obs.Heat) {
+	if t := sn.tel.Load(); t != nil {
+		return t.p, t.heat
+	}
+	return nil, nil
 }
 
 // NewNode creates a storage node serving addr on the given execution node.
@@ -110,7 +126,7 @@ func NewNode(addr string, envr env.Full, n env.Node, tr transport.Transport, cos
 		costs:   costs,
 		mt:      newMemtable(int64(KeyHash([]byte(addr)))),
 		pmap:    &PartitionMap{},
-		conns:   make(map[string]transport.Conn),
+		conns:   transport.NewConnSet(tr, n),
 		deadRep: make(map[string]bool),
 		dedup:   resil.NewWindow(1024),
 		gate:    resil.NewGate(envr, 256, time.Millisecond),
@@ -122,11 +138,10 @@ func NewNode(addr string, envr env.Full, n env.Node, tr transport.Transport, cos
 
 // SetObs attaches the telemetry pipeline: handler-class latencies feed its
 // windowed series and every request's per-range activity feeds this node's
-// heat tracker. Call at setup time, before the node serves traffic; a nil
-// pipeline (the default) keeps all hooks free.
+// heat tracker. Requests already in flight may miss it; a nil pipeline
+// (the default) keeps all hooks free.
 func (sn *Node) SetObs(p *obs.Pipeline) {
-	sn.obs = p
-	sn.obsHeat = p.Heat(sn.addr)
+	sn.tel.Store(&nodeTel{p: p, heat: p.Heat(sn.addr)})
 }
 
 // SetAdmission reconfigures the admission gate: at most maxInflight client
@@ -241,14 +256,16 @@ func (sn *Node) handle(ctx env.Ctx, req []byte) []byte {
 	case wire.KindRecoverReq:
 		class, resp = "recover", sn.handleRecover(ctx, req)
 	case wire.KindStatsExtReq:
-		ext := sn.obs.StatsExt(sn.addr)
+		p, _ := sn.telemetry()
+		ext := p.StatsExt(sn.addr)
 		sn.fillMigStats(ext)
 		sn.fillCounters(ext, ctx.Now())
 		return ext.Encode()
 	default:
 		return (&wire.StoreResponse{Status: wire.StatusError}).Encode()
 	}
-	sn.obs.ObserveClass(start, sn.addr, class, ctx.Now()-start)
+	p, _ := sn.telemetry()
+	p.ObserveClass(start, sn.addr, class, ctx.Now()-start)
 	return resp
 }
 
@@ -304,8 +321,9 @@ func (sn *Node) handleStore(ctx env.Ctx, raw []byte) []byte {
 	muts := make(map[uint64][]wire.Mutation)
 	// Per-range activity of this batch, flushed to the heat tracker after
 	// the reply is ready (nil when telemetry is off — zero cost).
+	_, tracker := sn.telemetry()
 	var heat map[uint64]*obs.HeatDelta
-	if sn.obsHeat != nil {
+	if tracker != nil {
 		heat = make(map[uint64]*obs.HeatDelta)
 	}
 
@@ -451,7 +469,7 @@ func (sn *Node) handleStore(ctx env.Ctx, raw []byte) []byte {
 		for _, pid := range det.Keys(heat) {
 			d := heat[pid]
 			d.Lat, d.LatN = elapsed, 1
-			sn.obsHeat.Add(start, pid, *d)
+			tracker.Add(start, pid, *d)
 		}
 	}
 	return resp.Encode()
@@ -488,7 +506,7 @@ func (sn *Node) replicateAll(ctx env.Ctx, jobs []replJob) {
 }
 
 func (sn *Node) replicateOne(ctx env.Ctx, addr string, req *wire.ReplicateRequest) {
-	conn, err := sn.conn(addr)
+	conn, err := sn.conns.Get(addr)
 	if err != nil {
 		sn.markReplicaDead(addr)
 		return
@@ -497,15 +515,10 @@ func (sn *Node) replicateOne(ctx env.Ctx, addr string, req *wire.ReplicateReques
 	// mutations if-newer by stamp, so duplicates are no-ops. Retry transient
 	// losses before giving a replica up for dead — a single dropped message
 	// must not degrade the replication factor.
-	enc := req.Encode()
-	err = sn.retr.Do(ctx, resil.ClassReplicate, addr, func(int) error {
-		raw, rtErr := conn.RoundTrip(ctx, enc)
-		if rtErr != nil {
-			return rtErr
-		}
-		rr, rtErr := wire.DecodeReplicateResponse(raw)
-		if rtErr != nil {
-			return resil.Permanent(rtErr)
+	_, _, err = sn.retr.Call(ctx, resil.ClassReplicate, addr, conn, req.Encode(), func(raw []byte) error {
+		rr, err := wire.DecodeReplicateResponse(raw)
+		if err != nil {
+			return resil.Permanent(err)
 		}
 		if rr.Status != wire.StatusOK {
 			// A refusal (crashed node draining in its network buffers, WAL
@@ -527,30 +540,6 @@ func (sn *Node) markReplicaDead(addr string) {
 	sn.mu.Lock()
 	sn.deadRep[addr] = true
 	sn.mu.Unlock()
-}
-
-func (sn *Node) conn(addr string) (transport.Conn, error) {
-	sn.mu.Lock()
-	if c, ok := sn.conns[addr]; ok {
-		sn.mu.Unlock()
-		return c, nil
-	}
-	sn.mu.Unlock()
-	// Dial outside the lock: a slow dial must not stall the request path.
-	c, err := sn.tr.Dial(sn.node, addr)
-	if err != nil {
-		return nil, err
-	}
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if exist, ok := sn.conns[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		//lint:allow errdiscard closing a redundant just-dialed connection nothing was sent on
-		c.Close()
-		return exist, nil
-	}
-	sn.conns[addr] = c
-	return c, nil
 }
 
 // counterBytes encodes a counter value the way Get returns it.
@@ -814,12 +803,12 @@ func (sn *Node) handleReplicate(ctx env.Ctx, raw []byte) []byte {
 		sn.applyMutationLocked(&req.Mutations[i])
 	}
 	sn.mu.Unlock()
-	if sn.obsHeat != nil {
+	if _, tracker := sn.telemetry(); tracker != nil {
 		d := obs.HeatDelta{Writes: int64(len(req.Mutations))}
 		for i := range req.Mutations {
 			d.WriteBytes += int64(len(req.Mutations[i].Val))
 		}
-		sn.obsHeat.Add(ctx.Now(), req.PartitionID, d)
+		tracker.Add(ctx.Now(), req.PartitionID, d)
 	}
 	// The replica's copy must be as durable as the master's: a write is
 	// only acknowledged once every live replica logged it.

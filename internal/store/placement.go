@@ -16,10 +16,10 @@ import (
 // Manager-side live migration and autonomic placement. The manager drives
 // the three-phase protocol (see migrate.go) against the source and target
 // nodes, journals every phase transition on a durable backend so a manager
-// crash at any boundary resolves to exactly one owner, and runs an optional
-// placement controller that consumes the cluster heat map and issues
-// split/migrate plans under a deterministic hysteresis policy (H2O-style
-// autonomic placement over the paper's shared-data elasticity claim).
+// crash at any boundary resolves to exactly one owner, and has a placement
+// controller that consumes the cluster heat map and issues one split or
+// migrate plan per pass under a deterministic policy (H2O-style placement
+// over the paper's shared-data elasticity claim), run on demand.
 
 // migJournalEntry is one durable record of a migration's progress. The
 // cutover record carries the full new partition map: after it is durable
@@ -206,16 +206,11 @@ func (m *Manager) ScheduleLog() []string {
 
 // metaCall sends one control request with meta-class retries.
 func (m *Manager) metaCall(ctx env.Ctx, addr string, req []byte) ([]byte, error) {
-	conn, err := m.conn(addr)
+	conn, err := m.conns.Get(addr)
 	if err != nil {
 		return nil, err
 	}
-	var raw []byte
-	err = m.retr.Do(ctx, resil.ClassMeta, addr, func(int) error {
-		var rtErr error
-		raw, rtErr = conn.RoundTrip(ctx, req)
-		return rtErr
-	})
+	raw, _, err := m.retr.Call(ctx, resil.ClassMeta, addr, conn, req, nil)
 	return raw, err
 }
 
@@ -524,14 +519,12 @@ func (m *Manager) ResolveJournal(ctx env.Ctx) error {
 // functions of (heat snapshot, partition map, policy), evaluated on the
 // virtual clock — no wall time — so schedules are deterministic per seed.
 type RebalancePolicy struct {
-	// Interval is the controller tick.
+	// Interval is the pause between forced controller passes
+	// (Cluster.Rebalance), so live traffic lands between them.
 	Interval time.Duration
 	// Ratio triggers planning when hottest-node load exceeds Ratio times
 	// coldest-node load.
 	Ratio float64
-	// Hysteresis is how many consecutive imbalanced ticks must pass before
-	// the controller acts — transient skew must not thrash ranges around.
-	Hysteresis int
 	// MinOps ignores imbalance below this absolute recent-ops level (an
 	// idle cluster is trivially "imbalanced").
 	MinOps int64
@@ -547,11 +540,10 @@ type RebalancePolicy struct {
 // DefaultRebalancePolicy returns the calibrated controller policy.
 func DefaultRebalancePolicy() RebalancePolicy {
 	return RebalancePolicy{
-		Interval:   250 * time.Millisecond,
-		Ratio:      1.5,
-		Hysteresis: 3,
-		MinOps:     256,
-		Cooldown:   4,
+		Interval: 250 * time.Millisecond,
+		Ratio:    1.5,
+		MinOps:   256,
+		Cooldown: 4,
 	}
 }
 
@@ -840,9 +832,9 @@ func (m *Manager) HotShare() float64 {
 	return m.hotShare
 }
 
-// RebalanceOnce runs one forced controller pass (no hysteresis): plan one
-// action from the current load view and execute it. Returns whether an
-// action ran. Cluster.Rebalance loops this until the view is balanced.
+// RebalanceOnce runs one controller pass: plan one action from the current
+// load view and execute it. Returns whether an action ran. Cluster.Rebalance
+// loops this until the view is balanced; nothing runs it in the background.
 func (m *Manager) RebalanceOnce(ctx env.Ctx) (bool, error) {
 	pol := DefaultRebalancePolicy()
 	view, heatBased := m.loads(ctx)
@@ -890,39 +882,4 @@ func (m *Manager) executePlan(ctx env.Ctx, p *migPlan) error {
 	m.cooled[p.pid] = m.planPass
 	m.mu.Unlock()
 	return m.MigratePartition(ctx, p.pid, p.dst)
-}
-
-// StartRebalancer launches the autonomic placement loop: every Interval it
-// rebuilds the cluster load view from per-range heat, and after Hysteresis
-// consecutive imbalanced ticks it executes one split or migrate action,
-// then re-arms. Runs until Stop.
-func (m *Manager) StartRebalancer(pol RebalancePolicy) {
-	if pol.Interval <= 0 {
-		pol = DefaultRebalancePolicy()
-	}
-	m.node.Go("rebalancer", func(ctx env.Ctx) {
-		streak := 0
-		for {
-			ctx.Sleep(pol.Interval)
-			m.mu.Lock()
-			stopped := m.stopped
-			m.mu.Unlock()
-			if stopped {
-				return
-			}
-			view, _ := m.loads(ctx)
-			p := m.plan(view, pol)
-			if p == nil {
-				streak = 0
-				continue
-			}
-			streak++
-			if streak < pol.Hysteresis {
-				continue
-			}
-			streak = 0
-			//lint:allow errdiscard an aborted plan re-arms on the next tick; the journal records the abort
-			m.executePlan(ctx, p)
-		}
-	})
 }

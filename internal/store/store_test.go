@@ -298,13 +298,19 @@ func TestScanAcrossPartitions(t *testing.T) {
 				t.Fatalf("pair %d key %q, want %q", i, p.Key, want)
 			}
 		}
-		// Limited reverse scan.
+		// Limited reverse scan: the merge must order across partitions
+		// before it cuts, so the limit keeps the globally largest keys.
 		pairs, err = h.client.Scan(ctx, []byte("scan/"), []byte("scan/~"), 5, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pairs) != 5 || string(pairs[0].Key) != "scan/039" {
-			t.Fatalf("reverse: %d pairs, first %q", len(pairs), pairs[0].Key)
+		if len(pairs) != 5 {
+			t.Fatalf("reverse: %d pairs, want 5", len(pairs))
+		}
+		for i, p := range pairs {
+			if want := fmt.Sprintf("scan/%03d", 39-i); string(p.Key) != want {
+				t.Fatalf("reverse pair %d key %q, want %q", i, p.Key, want)
+			}
 		}
 	})
 }
@@ -739,15 +745,15 @@ func TestOverloadShedsAndRetriesAbsorb(t *testing.T) {
 	// backoff retries must absorb every shed: no operation may fail.
 	h := newHarness(t, store.ClusterConfig{NumNodes: 1})
 	defer h.close()
-	// Direct (unbatched) sends so the workers produce genuinely
-	// concurrent requests; no breaker, so the test isolates the
-	// gate-shed / retry-absorb interaction.
-	h.client.SetBatching(false)
+	// One op per request and one sender per worker, so the workers
+	// produce genuinely concurrent requests; no breaker, so the test
+	// isolates the gate-shed / retry-absorb interaction.
+	const workers, puts = 16, 5
+	h.client.MaxBatch, h.client.Senders = 1, workers
 	h.client.Resil.Breakers = nil
 	for _, addr := range h.cluster.Addrs() {
 		h.cluster.Node(addr).SetAdmission(1, 20*time.Microsecond)
 	}
-	const workers, puts = 16, 5
 	done := 0
 	for w := 0; w < workers; w++ {
 		w := w
