@@ -51,12 +51,37 @@ type IndexEntry struct {
 // the loVals prefix is NOT implied" — pass an explicit upper bound or nil
 // for unbounded.
 func (t *Txn) ScanPK(ctx env.Ctx, table *TableInfo, loVals, hiVals []relational.Value, fn func(e IndexEntry) bool) error {
-	lo := relational.EncodeKey(loVals...)
-	var hi []byte
+	lo, hi := keyRange(loVals, hiVals)
+	return t.scanTree(ctx, table, table.PK, table.Schema.PKCols, lo, hi, false, 0, fn)
+}
+
+// firstPage is FirstPK's first page size. On TPC-C delivery the lowest
+// entry is usually the row the previous delivery deleted, still waiting for
+// index GC (§5.4), so a page of one would take a second round trip on most
+// scans; four covers nearly all of them, and an extra prefetched record
+// costs far less than an extra page.
+const firstPage = 4
+
+// FirstPK returns the lowest-keyed row visible in [loVals, hiVals) — ORDER
+// BY pk LIMIT 1. It fetches records a page at a time, so entries past the
+// first visible row cost neither an index step nor a record read beyond the
+// page that holds it.
+func (t *Txn) FirstPK(ctx env.Ctx, table *TableInfo, loVals, hiVals []relational.Value) (rid uint64, row relational.Row, found bool, err error) {
+	lo, hi := keyRange(loVals, hiVals)
+	err = t.scanTree(ctx, table, table.PK, table.Schema.PKCols, lo, hi, false, firstPage, func(e IndexEntry) bool {
+		rid, row, found = e.Rid, e.Row, true
+		return false
+	})
+	return rid, row, found, err
+}
+
+// keyRange encodes a scan's bounds; nil hiVals leaves the range unbounded.
+func keyRange(loVals, hiVals []relational.Value) (lo, hi []byte) {
+	lo = relational.EncodeKey(loVals...)
 	if hiVals != nil {
 		hi = relational.EncodeKey(hiVals...)
 	}
-	return t.scanTree(ctx, table, table.PK, table.Schema.PKCols, lo, hi, false, fn)
+	return lo, hi
 }
 
 // ScanIndex visits rows via the named secondary index within [loVals,
@@ -73,12 +98,8 @@ func (t *Txn) ScanIndex(ctx env.Ctx, table *TableInfo, index string, loVals, hiV
 			cols = table.Schema.Indexes[i].Cols
 		}
 	}
-	lo := relational.EncodeKey(loVals...)
-	var hi []byte
-	if hiVals != nil {
-		hi = relational.EncodeKey(hiVals...)
-	}
-	return t.scanTree(ctx, table, tree, cols, lo, hi, true, fn)
+	lo, hi := keyRange(loVals, hiVals)
+	return t.scanTree(ctx, table, tree, cols, lo, hi, true, 0, fn)
 }
 
 // ScanIndexPrefix visits all rows whose indexed columns equal the given
@@ -96,7 +117,7 @@ func (t *Txn) ScanIndexPrefix(ctx env.Ctx, table *TableInfo, index string, prefi
 	}
 	lo := relational.EncodeKey(prefix...)
 	hi := relational.PrefixEnd(lo)
-	return t.scanTree(ctx, table, tree, cols, lo, hi, true, fn)
+	return t.scanTree(ctx, table, tree, cols, lo, hi, true, 0, fn)
 }
 
 func errUnknownIndex(table *TableInfo, index string) error {
@@ -112,7 +133,14 @@ func (e *UnknownIndexError) Error() string {
 
 // scanTree drives an index scan: walk entries, resolve rids, decode the
 // visible version, and garbage collect obsolete entries as encountered.
-func (t *Txn) scanTree(ctx env.Ctx, table *TableInfo, tree treeHandle, cols []int, lo, hi []byte, ridSuffix bool, fn func(e IndexEntry) bool) error {
+//
+// page 0 takes every entry in the range and fetches all their records with
+// one batched request (§5.1). page n > 0 stops the walk after n entries and
+// fetches only those; if fn still wants rows and the page was full, the walk
+// resumes just past the page's last key with a doubled page. A scan that
+// stops early thus pays index steps and record reads for the pages it used
+// only. Stale entries (§5.3.2) count toward a page, which is why it grows.
+func (t *Txn) scanTree(ctx env.Ctx, table *TableInfo, tree treeHandle, cols []int, lo, hi []byte, ridSuffix bool, page int, fn func(e IndexEntry) bool) error {
 	if t.state != StateRunning {
 		return ErrTxnDone
 	}
@@ -121,52 +149,54 @@ func (t *Txn) scanTree(ctx env.Ctx, table *TableInfo, tree treeHandle, cols []in
 		rid      uint64
 	}
 	var hits []hit
-	err := tree.Scan(ctx, lo, hi, func(k, v []byte) bool {
-		ctx.Work(t.pn.cfg.Costs.IndexOp)
-		hits = append(hits, hit{entryKey: append([]byte(nil), k...), rid: relational.RidFromIndexVal(v)})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	// Fetch all hit records with one batched request (§5.1).
-	rids := make([]uint64, 0, len(hits))
-	for _, h := range hits {
-		rids = append(rids, h.rid)
-	}
-	if err := t.prefetch(ctx, table, rids); err != nil {
-		return err
-	}
-	for _, h := range hits {
-		row, found, err := t.Read(ctx, table, h.rid)
+	for {
+		hits = hits[:0]
+		limit := page // a copy, so the closure does not move page to the heap
+		err := tree.Scan(ctx, lo, hi, func(k, v []byte) bool {
+			ctx.Work(t.pn.cfg.Costs.IndexOp)
+			hits = append(hits, hit{entryKey: append([]byte(nil), k...), rid: relational.RidFromIndexVal(v)})
+			return limit == 0 || len(hits) < limit
+		})
 		if err != nil {
 			return err
 		}
-		if !found {
+		// Fetch the page's records with one batched request (§5.1).
+		rids := make([]uint64, 0, len(hits))
+		for _, h := range hits {
+			rids = append(rids, h.rid)
+		}
+		if err := t.prefetch(ctx, table, rids); err != nil {
+			return err
+		}
+		for _, h := range hits {
+			row, found, err := t.Read(ctx, table, h.rid)
+			if err != nil {
+				return err
+			}
 			prefix := h.entryKey
 			if ridSuffix && len(prefix) >= 8 {
 				prefix = prefix[:len(prefix)-8]
 			}
-			t.maybeGCEntry(ctx, tree, h.entryKey, table, cols, prefix, h.rid)
-			continue
+			// Version-unaware indexes can return rows whose current
+			// value no longer matches the scanned range (the entry
+			// belongs to an older version). Filter against the visible
+			// row.
+			if !found || !bytes.Equal(relational.IndexKeyFromRow(row, cols), prefix) {
+				t.maybeGCEntry(ctx, tree, h.entryKey, table, cols, prefix, h.rid)
+				continue
+			}
+			if !fn(IndexEntry{Rid: h.rid, Row: row}) {
+				return nil
+			}
 		}
-		// Version-unaware indexes can return rows whose current value
-		// no longer matches the scanned range (the entry belongs to an
-		// older version). Filter against the visible row.
-		visKey := relational.IndexKeyFromRow(row, cols)
-		prefix := h.entryKey
-		if ridSuffix && len(prefix) >= 8 {
-			prefix = prefix[:len(prefix)-8]
-		}
-		if !bytes.Equal(visKey, prefix) {
-			t.maybeGCEntry(ctx, tree, h.entryKey, table, cols, prefix, h.rid)
-			continue
-		}
-		if !fn(IndexEntry{Rid: h.rid, Row: row}) {
+		if page == 0 || len(hits) < page {
 			return nil
 		}
+		// key+0x00 is the least key above the page's last one.
+		last := hits[len(hits)-1].entryKey
+		lo = append(last[:len(last):len(last)], 0)
+		page *= 2
 	}
-	return nil
 }
 
 // treeHandle is the slice of the B+tree API the scanner needs; it lets

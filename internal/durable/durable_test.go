@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -437,4 +440,96 @@ func TestFileBackend(t *testing.T) {
 			t.Errorf("objects survived wipe: %v", objs)
 		}
 	})
+}
+
+// Deleting a retired checkpoint generation's chunks removes its directory:
+// after three checkpoints only the live generation's directory is left.
+func TestFileCheckpointGCRemovesGenerationDirs(t *testing.T) {
+	dir := t.TempDir()
+	runSim(t, testutil.Seed(t, 108), func(ctx env.Ctx) {
+		be, err := NewFile(dir)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		defer be.Close()
+		for seq := uint64(1); seq <= 3; seq++ {
+			man := &Manifest{Seq: seq, LSN: seq}
+			cells := []wire.Mutation{mut("a", "1", seq), mut("b", "2", seq)}
+			if err := WriteCheckpoint(ctx, be, "sn0", man, SliceSource(cells), 24); err != nil {
+				t.Errorf("checkpoint %d: %v", seq, err)
+				return
+			}
+		}
+	})
+	entries, err := os.ReadDir(filepath.Join(dir, "sn0", "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	if want := fmt.Sprintf("g%010d", 3); len(dirs) != 1 || dirs[0] != want {
+		t.Fatalf("generation directories %v, want only %s", dirs, want)
+	}
+}
+
+// Pruning never removes a directory between Put creating it and the object
+// landing in it: Puts into a directory that concurrent Deletes keep pruning
+// all succeed.
+func TestFilePutRacesDeletePruning(t *testing.T) {
+	be, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	const writers, pruners, rounds = 2, 2, 300
+	var writing, pruning sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, writers+pruners)
+	for p := 0; p < pruners; p++ {
+		pruning.Add(1)
+		go func() {
+			defer pruning.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				// A missing object: the call only prunes.
+				if err := be.Delete(nil, "ns/gen/deep/missing"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			name := fmt.Sprintf("ns/gen/deep/obj-%d", w)
+			for i := 0; i < rounds; i++ {
+				if err := be.Put(nil, name, []byte("x")); err != nil {
+					errs <- fmt.Errorf("put %s round %d: %w", name, i, err)
+					return
+				}
+				if err := be.Delete(nil, name); err != nil {
+					errs <- fmt.Errorf("delete %s round %d: %w", name, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	writing.Wait()
+	close(done)
+	pruning.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -21,12 +21,19 @@ import (
 type File struct {
 	dir string
 
+	// mu guards the handle map, and it is held from creating a file's
+	// directory until the file exists, and while Delete prunes directories,
+	// so pruning never removes a directory a file is about to enter.
 	mu   sanitize.Mutex
 	open map[string]*os.File // append handles, kept open between Sync calls
 }
 
 // NewFile returns a backend rooted at dir, creating it if needed.
 func NewFile(dir string) (*File, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -45,11 +52,7 @@ func (f *File) handle(name string) (*os.File, error) {
 	if h, ok := f.open[name]; ok {
 		return h, nil
 	}
-	p := f.path(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
-	}
-	h, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	h, err := create(f.path(name), os.O_APPEND)
 	if err != nil {
 		return nil, err
 	}
@@ -57,12 +60,23 @@ func (f *File) handle(name string) (*os.File, error) {
 	return h, nil
 }
 
+// create opens path for writing, creating it and its parent directories.
+// Caller holds f.mu.
+func create(path string, flag int) (*os.File, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
+}
+
 // Put atomically replaces the object via a temp file and rename. The file
 // I/O (including the fsync) runs outside f.mu: a checkpoint Put must not
 // stall concurrent WAL appends to other objects, and the backend contract
-// forbids concurrent writers to the same object, so only the handle map
-// needs the lock.
+// forbids concurrent writers to the same object, so only the handle map and
+// the temp file's creation need the lock.
 func (f *File) Put(ctx env.Ctx, name string, data []byte) error {
+	p := f.path(name)
+	tmp := p + ".tmp"
 	f.mu.Lock()
 	if h, ok := f.open[name]; ok {
 		delete(f.open, name)
@@ -71,13 +85,8 @@ func (f *File) Put(ctx env.Ctx, name string, data []byte) error {
 			return err
 		}
 	}
+	h, err := create(tmp, os.O_TRUNC)
 	f.mu.Unlock()
-	p := f.path(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
-	}
-	tmp := p + ".tmp"
-	h, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -153,20 +162,30 @@ func (f *File) List(ctx env.Ctx, prefix string) ([]string, error) {
 	return out, nil
 }
 
-// Delete removes the object; missing objects are not an error. A close
-// failure on the append handle is reported even though the file is going
-// away: it can signal a dying disk that WAL truncation must not ignore.
+// Delete removes the object; missing objects are not an error. Directories
+// the removal leaves empty are removed too, up to the root, so retired
+// checkpoint generations leave nothing behind. A close failure on the append
+// handle is reported even though the file is going away: it can signal a
+// dying disk that WAL truncation must not ignore.
 func (f *File) Delete(ctx env.Ctx, name string) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	var closeErr error
 	if h, ok := f.open[name]; ok {
 		closeErr = h.Close()
 		delete(f.open, name)
 	}
-	f.mu.Unlock()
-	err := os.Remove(f.path(name))
+	p := f.path(name)
+	err := os.Remove(p)
 	if errors.Is(err, fs.ErrNotExist) {
 		err = nil
+	}
+	for dir := filepath.Dir(p); err == nil && strings.HasPrefix(dir, f.dir+string(filepath.Separator)); dir = filepath.Dir(dir) {
+		// Removing a directory fails unless it is empty: the first
+		// non-empty ancestor ends the walk.
+		if os.Remove(dir) != nil {
+			break
+		}
 	}
 	return errors.Join(closeErr, err)
 }

@@ -307,52 +307,62 @@ func (e *TellEngine) OrderStatus(ctx env.Ctx, in *OrderStatusInput) (bool, error
 }
 
 // Delivery implements the delivery transaction (clause 2.7): for each of
-// the ten districts, the oldest undelivered order is delivered.
+// the ten districts, the oldest undelivered order is delivered. The
+// districts advance together in rounds, so the order and customer rows of
+// all ten travel in one batched read each (§5.1); writes stay buffered until
+// commit and every read sees the same snapshot, so the outcome is that of
+// delivering the districts one after another.
 func (e *TellEngine) Delivery(ctx env.Ctx, in *DeliveryInput) (bool, error) {
 	not, ot, olt, ct := e.tables[TNewOrder], e.tables[TOrders], e.tables[TOrderLine], e.tables[TCustomer]
 	return e.run(ctx, func(wctx env.Ctx, txn *core.Txn) error {
 		wctx.Work(e.pn.Costs().Logic)
+		// The oldest new-order of each district (ORDER BY no_o_id LIMIT 1),
+		// consumed. Districts without one are skipped.
+		var ds []int
+		var orderKeys [][]relational.Value
 		for d := 1; d <= DistrictsPerWarehouse; d++ {
-			// Oldest new-order of the district: first PK entry in range.
-			var noRid uint64
-			var oID int64 = -1
-			err := txn.ScanPK(wctx, not,
+			noRid, noRow, found, err := txn.FirstPK(wctx, not,
 				[]relational.Value{i64v(in.W), i64v(d)},
-				[]relational.Value{i64v(in.W), i64v(d + 1)},
-				func(en core.IndexEntry) bool {
-					noRid = en.Rid
-					oID = en.Row[NOOID].I
-					return false // only the first (lowest o_id)
-				})
+				[]relational.Value{i64v(in.W), i64v(d + 1)})
 			if err != nil {
 				return err
 			}
-			if oID < 0 {
-				continue // no undelivered order in this district
+			if !found {
+				continue
 			}
 			if _, err := txn.Delete(wctx, not, noRid); err != nil {
 				return err
 			}
-			oRid, oRow, found, err := txn.LookupPK(wctx, ot, i64v(in.W), i64v(d), relational.I64(oID))
-			if err != nil || !found {
-				return orNotFound(err, "order")
+			ds = append(ds, d)
+			orderKeys = append(orderKeys, []relational.Value{i64v(in.W), i64v(d), noRow[NOOID]})
+		}
+		oRids, oRows, err := txn.ReadMany(wctx, ot, orderKeys)
+		if err != nil {
+			return err
+		}
+		totals := make([]float64, len(ds))
+		custKeys := make([][]relational.Value, len(ds))
+		for i, d := range ds {
+			oRow := oRows[i]
+			if oRow == nil {
+				return orNotFound(nil, "order")
 			}
 			oNew := cloneRow(oRow)
 			oNew[OCarrierID] = relational.I64(int64(in.Carrier))
-			if _, err := txn.Update(wctx, ot, oRid, oNew); err != nil {
+			if _, err := txn.Update(wctx, ot, oRids[i], oNew); err != nil {
 				return err
 			}
-			total := 0.0
 			type olUpd struct {
 				rid uint64
 				row relational.Row
 			}
 			var upds []olUpd
+			oID := oRow[OID].I
 			err = txn.ScanPK(wctx, olt,
 				[]relational.Value{i64v(in.W), i64v(d), relational.I64(oID)},
 				[]relational.Value{i64v(in.W), i64v(d), relational.I64(oID + 1)},
 				func(en core.IndexEntry) bool {
-					total += en.Row[OLAmount].F
+					totals[i] += en.Row[OLAmount].F
 					upds = append(upds, olUpd{rid: en.Rid, row: en.Row})
 					return true
 				})
@@ -366,14 +376,20 @@ func (e *TellEngine) Delivery(ctx env.Ctx, in *DeliveryInput) (bool, error) {
 					return err
 				}
 			}
-			cRid, cRow, found, err := txn.LookupPK(wctx, ct, i64v(in.W), i64v(d), relational.I64(oRow[OCID].I))
-			if err != nil || !found {
-				return orNotFound(err, "customer")
+			custKeys[i] = []relational.Value{i64v(in.W), i64v(d), oRow[OCID]}
+		}
+		cRids, cRows, err := txn.ReadMany(wctx, ct, custKeys)
+		if err != nil {
+			return err
+		}
+		for i, cRow := range cRows {
+			if cRow == nil {
+				return orNotFound(nil, "customer")
 			}
 			cNew := cloneRow(cRow)
-			cNew[CBalance] = relational.F64(cRow[CBalance].F + total)
+			cNew[CBalance] = relational.F64(cRow[CBalance].F + totals[i])
 			cNew[CDeliveryCnt] = relational.I64(cRow[CDeliveryCnt].I + 1)
-			if _, err := txn.Update(wctx, ct, cRid, cNew); err != nil {
+			if _, err := txn.Update(wctx, ct, cRids[i], cNew); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,9 @@
 package tpcc_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -195,34 +197,55 @@ func TestPaymentByLastName(t *testing.T) {
 	})
 }
 
+// TestDeliveryConsumesOldestNewOrders runs two deliveries on one warehouse:
+// each consumes the oldest new-order of every district and stamps that order
+// with its carrier.
 func TestDeliveryConsumesOldestNewOrders(t *testing.T) {
 	cfg := smallCfg()
 	r := newRig(t, 1, cfg)
 	r.run(t, func(ctx env.Ctx) {
 		pn := r.PNs[0]
 		eng, _ := tpcc.NewTellEngine(ctx, pn)
-		// Count new-order rows in district 1 before.
 		not, _ := pn.Catalog().OpenTable(ctx, tpcc.TNewOrder)
-		count := func() int {
+		ords, _ := pn.Catalog().OpenTable(ctx, tpcc.TOrders)
+		// undelivered returns each district's new-order ids, ascending.
+		undelivered := func() [][]int64 {
 			txn, _ := pn.Begin(ctx)
 			defer txn.Commit(ctx)
-			n := 0
-			txn.ScanPK(ctx, not,
-				[]relational.Value{relational.I64(1), relational.I64(1)},
-				[]relational.Value{relational.I64(1), relational.I64(2)},
-				func(e core.IndexEntry) bool { n++; return true })
-			return n
+			ids := make([][]int64, tpcc.DistrictsPerWarehouse+1)
+			for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
+				txn.ScanPK(ctx, not,
+					[]relational.Value{relational.I64(1), relational.I64(int64(d))},
+					[]relational.Value{relational.I64(1), relational.I64(int64(d + 1))},
+					func(e core.IndexEntry) bool { ids[d] = append(ids[d], e.Row[tpcc.NOOID].I); return true })
+			}
+			return ids
 		}
-		before := count()
-		if before == 0 {
-			t.Fatal("no undelivered orders loaded")
+		carrier := func(d int, o int64) int64 {
+			txn, _ := pn.Begin(ctx)
+			defer txn.Commit(ctx)
+			_, row, found, err := txn.LookupPK(ctx, ords, relational.I64(1), relational.I64(int64(d)), relational.I64(o))
+			if err != nil || !found {
+				t.Fatalf("order 1/%d/%d: %v %v", d, o, found, err)
+			}
+			return row[tpcc.OCarrierID].I
 		}
-		ok, err := eng.Delivery(ctx, &tpcc.DeliveryInput{W: 1, Carrier: 3})
-		if err != nil || !ok {
-			t.Fatalf("delivery: %v %v", ok, err)
-		}
-		if got := count(); got != before-1 {
-			t.Fatalf("new-order rows: %d -> %d, want -1", before, got)
+		before := undelivered()
+		for round, c := range []int{3, 7} {
+			ok, err := eng.Delivery(ctx, &tpcc.DeliveryInput{W: 1, Carrier: c})
+			if err != nil || !ok {
+				t.Fatalf("delivery %d: %v %v", round, ok, err)
+			}
+			after := undelivered()
+			for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
+				want := before[d][round+1:]
+				if !slices.Equal(after[d], want) {
+					t.Fatalf("delivery %d, district %d: new-orders %v, want %v", round, d, after[d], want)
+				}
+				if got := carrier(d, before[d][round]); got != int64(c) {
+					t.Fatalf("delivery %d, district %d: order %d carrier %d, want %d", round, d, before[d][round], got, c)
+				}
+			}
 		}
 	})
 }
@@ -302,6 +325,94 @@ func TestStandardMixEndToEnd(t *testing.T) {
 			}
 		}
 		txn.Commit(ctx)
+		if res.Committed[tpcc.TxDelivery] == 0 {
+			t.Fatal("no deliveries committed")
+		}
+		checkDeliveryConsistency(t, ctx, pn)
+	})
+}
+
+// checkDeliveryConsistency checks the clause 3.3.2 conditions that
+// deliveries maintain, over one snapshot of the whole database:
+//
+//	2: each district's new-order ids are contiguous;
+//	5: an order's carrier is set iff it has no new-order row;
+//	7: an order line's delivery date is set iff its order's carrier is;
+//	10: c_balance = sum(delivered ol_amount) - sum(h_amount) per customer.
+func checkDeliveryConsistency(t *testing.T, ctx env.Ctx, pn *core.PN) {
+	t.Helper()
+	type district struct{ w, d int64 }
+	type order struct {
+		district
+		o int64
+	}
+	type customer struct {
+		district
+		c int64
+	}
+	tables := map[string]*core.TableInfo{}
+	for _, name := range []string{tpcc.TNewOrder, tpcc.TOrders, tpcc.TOrderLine, tpcc.TCustomer, tpcc.THistory} {
+		tables[name], _ = pn.Catalog().OpenTable(ctx, name)
+	}
+	txn, _ := pn.Begin(ctx)
+	defer txn.Commit(ctx)
+	scan := func(name string, fn func(relational.Row)) {
+		if err := txn.ScanTable(ctx, tables[name], func(_ uint64, row relational.Row) bool { fn(row); return true }); err != nil {
+			t.Fatalf("scan %s: %v", name, err)
+		}
+	}
+
+	newOrders := map[order]bool{}
+	noCount := map[district]int64{}
+	noMin, noMax := map[district]int64{}, map[district]int64{}
+	scan(tpcc.TNewOrder, func(r relational.Row) {
+		k := district{r[tpcc.NOWID].I, r[tpcc.NODID].I}
+		o := r[tpcc.NOOID].I
+		newOrders[order{k, o}] = true
+		if noCount[k] == 0 || o < noMin[k] {
+			noMin[k] = o
+		}
+		if noCount[k] == 0 || o > noMax[k] {
+			noMax[k] = o
+		}
+		noCount[k]++
+	})
+	for k, n := range noCount {
+		if noMax[k]-noMin[k]+1 != n {
+			t.Fatalf("condition 2: w%d d%d holds %d new-orders over ids %d..%d", k.w, k.d, n, noMin[k], noMax[k])
+		}
+	}
+
+	carrierSet := map[order]bool{}
+	owner := map[order]customer{}
+	scan(tpcc.TOrders, func(r relational.Row) {
+		k := order{district{r[tpcc.OWID].I, r[tpcc.ODID].I}, r[tpcc.OID].I}
+		carrierSet[k] = r[tpcc.OCarrierID].I != 0
+		owner[k] = customer{k.district, r[tpcc.OCID].I}
+		if carrierSet[k] == newOrders[k] {
+			t.Fatalf("condition 5: order %v carrier set %v, new-order row %v", k, carrierSet[k], newOrders[k])
+		}
+	})
+
+	balance := map[customer]float64{}
+	scan(tpcc.TOrderLine, func(r relational.Row) {
+		k := order{district{r[tpcc.OLWID].I, r[tpcc.OLDID].I}, r[tpcc.OLOID].I}
+		delivered := r[tpcc.OLDeliveryD].I != 0
+		if delivered != carrierSet[k] {
+			t.Fatalf("condition 7: order %v line %d delivered %v, carrier set %v", k, r[tpcc.OLNumber].I, delivered, carrierSet[k])
+		}
+		if delivered {
+			balance[owner[k]] += r[tpcc.OLAmount].F
+		}
+	})
+	scan(tpcc.THistory, func(r relational.Row) {
+		balance[customer{district{r[tpcc.HCWID].I, r[tpcc.HCDID].I}, r[tpcc.HCID].I}] -= r[tpcc.HAmount].F
+	})
+	scan(tpcc.TCustomer, func(r relational.Row) {
+		k := customer{district{r[tpcc.CWID].I, r[tpcc.CDID].I}, r[tpcc.CID].I}
+		if got, want := r[tpcc.CBalance].F, balance[k]; math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
+			t.Fatalf("condition 10: customer %v balance %.2f, delivered amounts less payments %.2f", k, got, want)
+		}
 	})
 }
 
