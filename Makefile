@@ -70,11 +70,13 @@ sanitize:
 # one (the cloned response), a fuzzy checkpoint at O(chunks) not O(cells), the
 # simulator's steady state (sleep, resource, queue, satisfied timeout, pooled
 # spawn) at zero, a future at one, a SimNet round trip at three, a connection
-# lookup and a retried call at zero, and every benchmark runs for one
-# iteration so a broken hot path fails fast in CI.
+# lookup and a retried call at zero, a batched B+tree insert into one leaf at
+# one store write, a root split racing another writer's root growth at no
+# error, and every benchmark runs for one iteration so a broken hot path
+# fails fast in CI.
 bench-smoke:
 	$(GO) test ./internal/wire -run 'ZeroAlloc|OneAlloc|PutBufRejects' -bench . -benchtime 1x
-	$(GO) test ./internal/btree -run 'DecodeNodeAllocs' -bench DecodeNode -benchtime 1x
+	$(GO) test ./internal/btree -run 'DecodeNodeAllocs|InsertManyWritesLeafOnce|RootGrowthRaceSweep' -bench DecodeNode -benchtime 1x
 	$(GO) test ./internal/resil -run 'WindowCommitAllocs|CallAllocs' -bench WindowCommitFull -benchtime 1x
 	$(GO) test ./internal/store -run 'CheckpointAllocs' -bench Checkpoint -benchtime 1x
 	$(GO) test ./internal/sim -run 'SteadyStateAllocs' -bench . -benchtime 1x
@@ -87,13 +89,15 @@ bench:
 	bash bench/run.sh suite --seed 42 --reps 3 --out .bench_build/suite.json
 
 # A host-clock claim, measured the way bench/README.md asks: PAIRS interleaved
-# runs of workload W on revision BASE and on the working tree, same seed within
-# a pair, alternating which side goes first; prints medians, quartiles and
-# wins per end-to-end metric and fails if a virtual-clock metric differs.
-# A virtual-clock claim names its metric: CLAIM=tpmc lets virtual metrics
-# move, gives every metric the wins/gap verdict and fails only if an
-# end-to-end metric is worse than its BENCHMARK.json bound.
-#	make bench-ab BASE=HEAD~1 [W=tpcc-std] [PAIRS=10] [CLAIM=tpmc]
+# runs of workload W (W=all: every workload) on revision BASE and on the
+# working tree, same seed within a pair, alternating which side goes first;
+# prints medians, quartiles, spread and wins per end-to-end metric and fails
+# if a virtual-clock metric differs or a host-clock metric is worse than its
+# BENCHMARK.json bound or unresolved (either side's spread above the bound,
+# unless every change run beats every base run). A virtual-clock claim names
+# its metric: CLAIM=tpmc lets virtual metrics move and judges every metric
+# that way.
+#	make bench-ab BASE=HEAD~1 [W=tpcc-std|all] [PAIRS=10] [CLAIM=tpmc]
 W ?= tpcc-std
 PAIRS ?= 10
 CLAIM ?=

@@ -363,11 +363,8 @@ func TestCacheStaysCorrectAcrossRemoteSplits(t *testing.T) {
 func TestBulkBuildMatchesInsertedTree(t *testing.T) {
 	h := newTreeHarness(t, 3)
 	const n = 400
-	var pairs []btree.Pair
-	for i := 0; i < n; i++ {
-		pairs = append(pairs, btree.Pair{Key: key(i), Val: val(i)})
-	}
-	err := btree.BulkBuild("bulk", pairs, 16, h.cluster.BulkLoad, h.cluster.BulkLoadCounter)
+	at := func(i int) ([]byte, []byte) { return key(i), val(i) }
+	err := btree.BulkBuild("bulk", n, at, 16, h.cluster.BulkLoad, h.cluster.BulkLoadCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +393,8 @@ func TestBulkBuildMatchesInsertedTree(t *testing.T) {
 }
 
 func TestBulkBuildRejectsUnsortedInput(t *testing.T) {
-	pairs := []btree.Pair{{Key: []byte("b")}, {Key: []byte("a")}}
-	err := btree.BulkBuild("x", pairs, 16,
+	keys := [][]byte{[]byte("b"), []byte("a")}
+	err := btree.BulkBuild("x", len(keys), func(i int) ([]byte, []byte) { return keys[i], nil }, 16,
 		func(k, v []byte) error { return nil },
 		func(k []byte, v int64) error { return nil })
 	if err == nil {
@@ -407,7 +404,7 @@ func TestBulkBuildRejectsUnsortedInput(t *testing.T) {
 
 func TestBulkBuildEmpty(t *testing.T) {
 	h := newTreeHarness(t, 1)
-	if err := btree.BulkBuild("empty", nil, 16, h.cluster.BulkLoad, h.cluster.BulkLoadCounter); err != nil {
+	if err := btree.BulkBuild("empty", 0, nil, 16, h.cluster.BulkLoad, h.cluster.BulkLoadCounter); err != nil {
 		t.Fatal(err)
 	}
 	h.run(t, func(ctx env.Ctx) {
@@ -475,6 +472,202 @@ func TestTreePropertyRandomOpsAgainstMap(t *testing.T) {
 		for k, v := range ref {
 			if got[k] != v {
 				t.Fatalf("mismatch at %s: %q != %q", k, got[k], v)
+			}
+		}
+	})
+}
+
+// TestRootGrowthRaceSweep splits a fresh tree's root leaf from two handles
+// at once while one network message at a time is delayed by 5 ms. A writer
+// whose split needs a parent level that another writer's root growth has
+// not yet installed must wait for it, not fail; every key must end up in
+// the tree. The sweep covers every message index of an undisturbed run.
+func TestRootGrowthRaceSweep(t *testing.T) {
+	const perHandle = 12
+	// run inserts with the delayAt-th message leg delayed (-1: none) and
+	// returns the number of legs sent and the first failure.
+	run := func(delayAt int) (legs int, failure string) {
+		h := newTreeHarness(t, 2)
+		h.net.SetFaultFn(func(src, dst string, payload []byte) transport.Fault {
+			legs++
+			if legs-1 == delayAt {
+				return transport.Fault{Delay: 5 * time.Millisecond}
+			}
+			return transport.Fault{}
+		})
+		setup, done := false, 0
+		h.pn.Go("create", func(ctx env.Ctx) {
+			if err := btree.Create(ctx, "t", h.client); err != nil {
+				failure = err.Error()
+			}
+			setup = true
+		})
+		for p := 0; p < 2; p++ {
+			node := h.envr.NewNode(fmt.Sprintf("pn%d", p+1), 2)
+			tr := btree.New("t", h.cluster.NewClient(node))
+			tr.MaxKeys = 3
+			node.Go("inserter", func(ctx env.Ctx) {
+				for !setup {
+					ctx.Sleep(time.Microsecond)
+				}
+				for i := 0; i < perHandle; i++ {
+					if _, err := tr.Insert(ctx, key(2*i+p), val(i)); err != nil && failure == "" {
+						failure = fmt.Sprintf("handle %d insert %d: %v", p, i, err)
+					}
+				}
+				done++
+			})
+		}
+		h.pn.Go("checker", func(ctx env.Ctx) {
+			for done < 2 {
+				ctx.Sleep(time.Millisecond)
+			}
+			verify := btree.New("t", h.client)
+			for i := 0; i < 2*perHandle && failure == ""; i++ {
+				if _, ok, err := verify.Lookup(ctx, key(i)); err != nil || !ok {
+					failure = fmt.Sprintf("key %d missing: %v", i, err)
+				}
+			}
+			h.k.Stop()
+		})
+		if err := h.k.RunUntil(sim.Time(60 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if done != 2 && failure == "" {
+			failure = "inserters did not finish"
+		}
+		h.k.Shutdown()
+		return legs, failure
+	}
+	legs, failure := run(-1)
+	if failure != "" {
+		t.Fatalf("undisturbed run: %s", failure)
+	}
+	for at := 0; at < legs; at++ {
+		if _, failure := run(at); failure != "" {
+			t.Fatalf("message %d of %d delayed by 5 ms: %s", at, legs, failure)
+		}
+	}
+}
+
+// TestConcurrentOverlappingInsertMany runs batched inserts with overlapping
+// key sets from two handles at once: every key must end up in the tree
+// exactly once, inserted by exactly one of them.
+func TestConcurrentOverlappingInsertMany(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	const batches, perBatch = 3, 20
+	inserted := map[int]int{}
+	setup, done := false, 0
+	h.pn.Go("create", func(ctx env.Ctx) {
+		btree.Create(ctx, "t", h.client)
+		setup = true
+	})
+	for p := 0; p < 2; p++ {
+		node := h.envr.NewNode(fmt.Sprintf("pn%d", p+1), 2)
+		tr := btree.New("t", h.cluster.NewClient(node))
+		tr.MaxKeys = 8
+		node.Go("batcher", func(ctx env.Ctx) {
+			for !setup {
+				ctx.Sleep(time.Microsecond)
+			}
+			// Handle 0 covers keys 0..59, handle 1 keys 30..89, each in
+			// three batches given in descending key order.
+			for b := 0; b < batches; b++ {
+				var ids []int
+				var keys, vals [][]byte
+				for i := perBatch - 1; i >= 0; i-- {
+					id := p*batches*perBatch/2 + b*perBatch + i
+					ids = append(ids, id)
+					keys, vals = append(keys, key(id)), append(vals, val(id))
+				}
+				existed, err := tr.InsertMany(ctx, keys, vals)
+				if err != nil {
+					t.Errorf("handle %d batch %d: %v", p, b, err)
+					break
+				}
+				for j, ex := range existed {
+					if !ex {
+						inserted[ids[j]]++
+					}
+				}
+			}
+			done++
+		})
+	}
+	h.pn.Go("checker", func(ctx env.Ctx) {
+		for done < 2 {
+			ctx.Sleep(time.Millisecond)
+		}
+		const keys = 90
+		var got []string
+		btree.New("t", h.client).Scan(ctx, nil, nil, func(k, v []byte) bool {
+			got = append(got, string(k))
+			return true
+		})
+		if len(got) != keys {
+			t.Errorf("scan returned %d keys, want %d", len(got), keys)
+		}
+		for i := 0; i < keys; i++ {
+			if i < len(got) && got[i] != string(key(i)) {
+				t.Errorf("scan position %d: %s, want %s", i, got[i], key(i))
+			}
+			if inserted[i] != 1 {
+				t.Errorf("key %d reported inserted %d times", i, inserted[i])
+			}
+		}
+		h.k.Stop()
+	})
+	if err := h.k.RunUntil(sim.Time(60 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if done != 2 {
+		t.Fatalf("only %d/2 batchers finished", done)
+	}
+	h.k.Shutdown()
+}
+
+// TestInsertManyWritesLeafOnce inserts a 10-entry batch into one leaf that
+// has room for it: the batch must cost exactly one store write, the leaf's
+// conditional put, where ten Inserts cost ten.
+func TestInsertManyWritesLeafOnce(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	writes := func() (n uint64) {
+		for _, addr := range h.cluster.Addrs() {
+			_, w, _ := h.cluster.Node(addr).OpStats()
+			n += w
+		}
+		return n
+	}
+	h.run(t, func(ctx env.Ctx) {
+		if err := btree.Create(ctx, "t", h.client); err != nil {
+			t.Fatal(err)
+		}
+		tr := btree.New("t", h.client)
+		for i := 0; i < 5; i++ {
+			if _, err := tr.Insert(ctx, key(2*i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var keys, vals [][]byte
+		for i := 0; i < 10; i++ {
+			keys, vals = append(keys, key(2*i+1)), append(vals, val(i))
+		}
+		before := writes()
+		existed, err := tr.InsertMany(ctx, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := writes() - before; n != 1 {
+			t.Fatalf("10-entry batch into one leaf issued %d store writes, want 1", n)
+		}
+		for j, ex := range existed {
+			if ex {
+				t.Fatalf("entry %d reported existing", j)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			if _, ok, err := tr.Lookup(ctx, key(i)); err != nil || ok != (i < 10 || i%2 == 1) {
+				t.Fatalf("key %d: found=%v err=%v", i, ok, err)
 			}
 		}
 	})

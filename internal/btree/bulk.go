@@ -5,11 +5,6 @@ import (
 	"fmt"
 )
 
-// Pair is one (key, value) entry for bulk building.
-type Pair struct {
-	Key, Val []byte
-}
-
 // Sink installs a prebuilt cell into the store, bypassing the RPC path
 // (store.Cluster.BulkLoad). CounterSink initializes a counter cell.
 type (
@@ -17,20 +12,19 @@ type (
 	CounterSink func(key []byte, v int64) error
 )
 
-// BulkBuild constructs a complete tree from sorted unique pairs and writes
-// it through the sinks. It exists for benchmark population: building the
-// TPC-C indexes through the insert path would dominate experiment set-up
-// time. The resulting structure is identical to what repeated Inserts
-// produce (verified by tests) and fully supports concurrent operations
-// afterwards.
-func BulkBuild(name string, pairs []Pair, maxKeys int, sink Sink, ctrSink CounterSink) error {
+// BulkBuild constructs a complete tree from n sorted unique entries, the
+// i-th of which is at(i), and writes it through the sinks. It exists for
+// benchmark population: building the TPC-C indexes through the insert path
+// would dominate experiment set-up time. The resulting structure is
+// identical to what repeated Inserts produce (verified by tests) and fully
+// supports concurrent operations afterwards.
+//
+// Nodes are written as soon as they are complete, so only the ids and
+// lowest keys of one level are held at a time. The slices at returns must
+// stay valid until BulkBuild returns; they are not copied.
+func BulkBuild(name string, n int, at func(i int) (key, val []byte), maxKeys int, sink Sink, ctrSink CounterSink) error {
 	if maxKeys < 4 {
 		maxKeys = 4
-	}
-	for i := 1; i < len(pairs); i++ {
-		if bytes.Compare(pairs[i-1].Key, pairs[i].Key) >= 0 {
-			return fmt.Errorf("btree: bulk pairs not sorted/unique at %d", i)
-		}
 	}
 	// Target fill: 3/4 of max so post-load inserts do not split at once.
 	fill := maxKeys * 3 / 4
@@ -38,84 +32,71 @@ func BulkBuild(name string, pairs []Pair, maxKeys int, sink Sink, ctrSink Counte
 		fill = 2
 	}
 
-	nextID := uint64(1)
-	alloc := func() uint64 {
-		id := nextID
-		nextID++
-		return id
-	}
-
-	// Build the leaf level. lows[i] is the lowest leaf key reachable under
-	// level[i]'s subtree: the correct separator and high-key boundary when
-	// building the level above.
-	var level []*node
+	// The leaf level. Nodes take ids 1, 2, ... level by level in key
+	// order, so the nodes of a level have consecutive ids from first on, a
+	// node's right sibling is the next id and its high key is the lowest
+	// key under that sibling. lows[i] is the lowest leaf key under the
+	// level's i-th node: the separator and high-key boundary when building
+	// the level above.
+	nextID, first := uint64(1), uint64(1)
 	var lows [][]byte
-	if len(pairs) == 0 {
-		level = []*node{{id: alloc()}}
-		lows = [][]byte{nil}
-	}
-	for off := 0; off < len(pairs); off += fill {
-		end := off + fill
-		if end > len(pairs) {
-			end = len(pairs)
+	lf := &node{}
+	var prev []byte
+	for off := 0; off == 0 || off < n; off += fill {
+		end := min(off+fill, n)
+		lf.id, lf.keys, lf.vals = nextID, lf.keys[:0], lf.vals[:0]
+		for i := off; i < end; i++ {
+			k, v := at(i)
+			if i > 0 && bytes.Compare(prev, k) >= 0 {
+				return fmt.Errorf("btree: bulk entries not sorted/unique at %d", i)
+			}
+			prev = k
+			lf.keys = append(lf.keys, k)
+			lf.vals = append(lf.vals, v)
 		}
-		n := &node{id: alloc()}
-		for _, p := range pairs[off:end] {
-			n.keys = append(n.keys, p.Key)
-			n.vals = append(n.vals, p.Val)
+		lf.next, lf.highKey = 0, nil
+		if end < n {
+			lf.next = nextID + 1
+			lf.highKey, _ = at(end)
 		}
-		level = append(level, n)
-		lows = append(lows, n.keys[0])
+		var low []byte
+		if len(lf.keys) > 0 {
+			low = lf.keys[0]
+		}
+		lows = append(lows, low)
+		nextID++
+		if err := sink(nodeKey(name, lf.id), lf.encode()); err != nil {
+			return err
+		}
 	}
-	linkLevel(level, lows)
 
-	// Build inner levels bottom-up until a single root remains.
+	// Inner levels bottom-up until a single root remains.
 	height := 0
-	for len(level) > 1 {
+	for len(lows) > 1 {
 		height++
-		var up []*node
+		upFirst := nextID
 		var upLows [][]byte
-		for off := 0; off < len(level); off += fill + 1 {
-			end := off + fill + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			n := &node{id: alloc(), level: height}
-			n.children = append(n.children, level[off].id)
+		for off := 0; off < len(lows); off += fill + 1 {
+			end := min(off+fill+1, len(lows))
+			nd := &node{id: nextID, level: height, children: []uint64{first + uint64(off)}}
 			for i := off + 1; i < end; i++ {
-				n.keys = append(n.keys, lows[i])
-				n.children = append(n.children, level[i].id)
+				nd.keys = append(nd.keys, lows[i])
+				nd.children = append(nd.children, first+uint64(i))
 			}
-			up = append(up, n)
+			if end < len(lows) {
+				nd.next = nextID + 1
+				nd.highKey = lows[end]
+			}
 			upLows = append(upLows, lows[off])
-		}
-		linkLevel(up, upLows)
-		// Write the completed lower level.
-		for _, n := range level {
-			if err := sink(nodeKey(name, n.id), n.encode()); err != nil {
+			nextID++
+			if err := sink(nodeKey(name, nd.id), nd.encode()); err != nil {
 				return err
 			}
 		}
-		level = up
-		lows = upLows
+		first, lows = upFirst, upLows
 	}
-	root := level[0]
-	if err := sink(nodeKey(name, root.id), root.encode()); err != nil {
-		return err
-	}
-	if err := sink(rootKey(name), rootPtr{rootID: root.id, height: root.level}.encode()); err != nil {
+	if err := sink(rootKey(name), rootPtr{rootID: first, height: height}.encode()); err != nil {
 		return err
 	}
 	return ctrSink(ctrKey(name), int64(nextID-1))
-}
-
-// linkLevel sets next pointers and high keys across a level; lows[i] is the
-// lowest leaf key under level[i].
-func linkLevel(level []*node, lows [][]byte) {
-	for i := range level {
-		if i+1 < len(level) {
-			level[i].next = level[i+1].id
-			level[i].highKey = lows[i+1]
-		}
-	}
 }

@@ -15,15 +15,18 @@ import (
 
 // treeOp is one step of a generated operation log.
 type treeOp struct {
-	kind byte // 'i' insert, 'd' delete, 'u' update, 'l' lookup, 's' scan
+	kind byte // 'i' insert, 'b' batched insert, 'd' delete, 'u' update, 'l' lookup, 's' scan
 	key  int
 	val  int
+	keys []int // 'b': the batch's keys, in batch order (val is shared)
 }
 
 func (o treeOp) String() string {
 	switch o.kind {
 	case 'i':
 		return fmt.Sprintf("insert(%d,%d)", o.key, o.val)
+	case 'b':
+		return fmt.Sprintf("insertMany(%v,%d)", o.keys, o.val)
 	case 'd':
 		return fmt.Sprintf("delete(%d)", o.key)
 	case 'u':
@@ -75,6 +78,29 @@ func applyOps(t *testing.T, ops []treeOp) string {
 				}
 				if !existed {
 					model[string(k)] = v
+				}
+			case 'b':
+				keys := make([][]byte, len(o.keys))
+				vals := make([][]byte, len(o.keys))
+				for j, bk := range o.keys {
+					keys[j], vals[j] = key(bk), v
+				}
+				existed, err := tr.InsertMany(ctx, keys, vals)
+				if err != nil {
+					failure = fmt.Sprintf("op %d %s: %v", i, o, err)
+					return
+				}
+				// Entry j existed if the model held its key before the
+				// batch or an earlier entry of the batch carried it.
+				for j, bk := range keys {
+					_, inModel := model[string(bk)]
+					if existed[j] != inModel {
+						failure = fmt.Sprintf("op %d %s: entry %d existed=%v, model=%v", i, o, j, existed[j], inModel)
+						return
+					}
+					if !inModel {
+						model[string(bk)] = v
+					}
 				}
 			case 'd':
 				removed, err := tr.Delete(ctx, k)
@@ -177,6 +203,28 @@ func shrinkOps(t *testing.T, ops []treeOp) []treeOp {
 	return ops
 }
 
+// batchKeys draws the keys of one batched insert: 1 to 12 of them (more
+// than the tree's MaxKeys of 4, so one batch can fill and split a leaf and
+// span several), either a run of adjacent keys in shuffled order or random
+// ones, and sometimes one key twice.
+func batchKeys(rng *rand.Rand, keySpace int) []int {
+	keys := make([]int, 1+rng.Intn(12))
+	start := rng.Intn(keySpace)
+	adjacent := rng.Intn(2) == 0
+	for j := range keys {
+		if adjacent {
+			keys[j] = (start + j) % keySpace
+		} else {
+			keys[j] = rng.Intn(keySpace)
+		}
+	}
+	rng.Shuffle(len(keys), func(a, b int) { keys[a], keys[b] = keys[b], keys[a] })
+	if rng.Intn(3) == 0 {
+		keys = append(keys, keys[rng.Intn(len(keys))])
+	}
+	return keys
+}
+
 // TestTreePropertyVsModel drives random op logs against a model-map oracle.
 // On failure it shrinks the log to a minimal reproduction and prints it with
 // the seed (replay with TELL_SEED).
@@ -190,7 +238,7 @@ func TestTreePropertyVsModel(t *testing.T) {
 		ops := make([]treeOp, opsPerRound)
 		for i := range ops {
 			o := treeOp{key: rng.Intn(keySpace), val: rng.Intn(1000)}
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(12); {
 			case r < 4:
 				o.kind = 'i'
 			case r < 6:
@@ -199,8 +247,10 @@ func TestTreePropertyVsModel(t *testing.T) {
 				o.kind = 'u'
 			case r < 9:
 				o.kind = 'l'
-			default:
+			case r < 10:
 				o.kind = 's'
+			default:
+				o.kind, o.keys = 'b', batchKeys(rng, keySpace)
 			}
 			ops[i] = o
 		}

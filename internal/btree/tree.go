@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"tell/internal/env"
 	"tell/internal/sanitize"
@@ -280,42 +282,83 @@ func (t *Tree) Lookup(ctx env.Ctx, key []byte) ([]byte, bool, error) {
 // Insert adds (key, val) if key is absent. It reports whether the key
 // already existed (in which case nothing changes).
 func (t *Tree) Insert(ctx env.Ctx, key, val []byte) (existed bool, err error) {
-	for attempt := 0; attempt < t.Retries; attempt++ {
-		path, err := t.descend(ctx, key)
-		if err != nil {
-			return false, err
-		}
-		leaf := path[len(path)-1].n
-		stamp := path[len(path)-1].stamp
-		if _, ok := leaf.findKey(key); ok {
-			return true, nil
-		}
-		nl := leaf.clone()
-		i, _ := nl.findKey(key)
-		nl.insertLeaf(i, key, val)
-		if len(nl.keys) <= t.MaxKeys {
-			_, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
-			if err == nil {
-				return false, nil
-			}
-			if err == store.ErrConflict || err == store.ErrNotFound {
-				continue // raced; retry from descent
-			}
-			return false, err
-		}
-		// Split required.
-		done, err := t.splitLeafAndInsert(ctx, path, nl, stamp)
-		if err != nil {
-			return false, err
-		}
-		if done {
-			return false, nil
-		}
+	ex, err := t.InsertMany(ctx, [][]byte{key}, [][]byte{val})
+	if err != nil {
+		return false, err
 	}
-	return false, ErrRetriesExhausted
+	return ex[0], nil
 }
 
-// splitLeafAndInsert installs nl (already containing the new key and
+// InsertMany adds every (keys[i], vals[i]) whose key is absent and reports
+// per entry whether its key already existed; a key given twice is inserted
+// once and reported as existing the second time. Entries that share a leaf
+// are written together: each round descends to the leaf covering the lowest
+// pending key, merges every pending key that leaf covers (at most MaxKeys
+// new ones, so the result splits at most once) and installs the leaf with
+// one conditional put (§5.3). A conflict retries only that round's keys.
+func (t *Tree) InsertMany(ctx env.Ctx, keys, vals [][]byte) (existed []bool, err error) {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	existed = make([]bool, len(keys))
+	for p, raced := 0, 0; p < len(order); {
+		n, ok, err := t.insertRound(ctx, keys, vals, order[p:], existed)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			p, raced = p+n, 0
+			continue
+		}
+		if raced++; raced == t.Retries {
+			return nil, ErrRetriesExhausted
+		}
+	}
+	return existed, nil
+}
+
+// insertRound installs the entries of pending (indexes into keys and vals,
+// in key order) that fall into the leaf covering the first of them, and
+// reports how many of them it settled. ok is false when the leaf write
+// raced with another writer; nothing was settled then.
+func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, existed []bool) (n int, ok bool, err error) {
+	path, err := t.descend(ctx, keys[pending[0]])
+	if err != nil {
+		return 0, false, err
+	}
+	leaf := path[len(path)-1].n
+	stamp := path[len(path)-1].stamp
+	nl, added := leaf, 0
+	for ; n < len(pending) && leaf.covers(keys[pending[n]]) && added < t.MaxKeys; n++ {
+		e := pending[n]
+		i, found := nl.findKey(keys[e])
+		existed[e] = found
+		if found {
+			continue
+		}
+		if nl == leaf {
+			nl = leaf.clone()
+		}
+		nl.insertLeaf(i, keys[e], vals[e])
+		added++
+	}
+	if added == 0 {
+		return n, true, nil
+	}
+	if len(nl.keys) <= t.MaxKeys {
+		_, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
+		if err == store.ErrConflict || err == store.ErrNotFound {
+			return 0, false, nil
+		}
+		return n, err == nil, err
+	}
+	ok, err = t.splitLeafAndInsert(ctx, path, nl, stamp)
+	return n, ok, err
+}
+
+// splitLeafAndInsert installs nl (already containing the new keys and
 // exceeding MaxKeys) as a split pair. Returns done=false to signal a raced
 // conflict needing a fresh retry.
 func (t *Tree) splitLeafAndInsert(ctx env.Ctx, path []pathEntry, nl *node, stamp uint64) (bool, error) {
@@ -553,10 +596,26 @@ func (t *Tree) loadNodeFresh(ctx env.Ctx, id uint64) (*node, uint64, error) {
 	return n, stamp, err
 }
 
+// rootGrowthWait bounds how long descendToLevel waits for another writer's
+// root growth; rootGrowthPoll is how often it re-reads the root meanwhile.
+const (
+	rootGrowthWait = time.Second
+	rootGrowthPoll = 50 * time.Microsecond
+)
+
 // descendToLevel finds the id of the node at the given level covering key,
-// bypassing the cache.
+// bypassing the cache. A root below that level means another writer has
+// split the old root and not yet installed the new one above it: the root
+// is re-read until it has grown, for up to rootGrowthWait.
 func (t *Tree) descendToLevel(ctx env.Ctx, key []byte, level int) (uint64, error) {
 	rp, err := t.loadRoot(ctx, true)
+	for deadline := ctx.Now() + rootGrowthWait; err == nil && rp.height < level; {
+		if ctx.Now() >= deadline {
+			return 0, fmt.Errorf("btree: level %d not found", level)
+		}
+		ctx.Sleep(rootGrowthPoll)
+		rp, err = t.loadRoot(ctx, true)
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -185,24 +185,23 @@ func (t *Txn) ReadMany(ctx env.Ctx, table *TableInfo, pkVals [][]relational.Valu
 	return rids, rows, nil
 }
 
-// parallelIndexOps runs independent index-maintenance closures concurrently
-// and returns the first error. ErrDuplicateKey wins over other errors so
-// commit can classify the outcome deterministically.
-func (t *Txn) parallelIndexOps(ctx env.Ctx, ops []func(env.Ctx) error) error {
-	if len(ops) == 0 {
+// parallelIndexOps inserts the batches, one per tree, concurrently and
+// returns the first error. ErrDuplicateKey wins over other errors so commit
+// can classify the outcome deterministically.
+func (t *Txn) parallelIndexOps(ctx env.Ctx, batches []*indexBatch) error {
+	if len(batches) == 0 {
 		return nil
 	}
-	if len(ops) == 1 {
-		return ops[0](ctx)
+	if len(batches) == 1 {
+		return t.insertBatch(ctx, batches[0])
 	}
 	var mu sync.Mutex
 	var dupErr, firstErr error
-	futs := make([]env.Future, len(ops))
-	for i, op := range ops {
-		i, op := i, op
+	futs := make([]env.Future, len(batches))
+	for i, b := range batches {
 		futs[i] = t.pn.envr.NewFuture()
 		ctx.Go("index-op", func(ictx env.Ctx) {
-			if err := op(ictx); err != nil {
+			if err := t.insertBatch(ictx, b); err != nil {
 				mu.Lock()
 				if err == ErrDuplicateKey {
 					dupErr = err

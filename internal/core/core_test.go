@@ -495,6 +495,63 @@ func TestDuplicatePrimaryKeyRejected(t *testing.T) {
 	})
 }
 
+// TestDuplicatePrimaryKeyInOneCommit inserts two rows with the same primary
+// key in one transaction: the commit inserts both entries in one batch, and
+// the second must still be caught as a duplicate.
+func TestDuplicatePrimaryKeyInOneCommit(t *testing.T) {
+	e := newEngine(t, 1, core.TB)
+	e.run(t, func(ctx env.Ctx) {
+		table, _ := e.PNs[0].Catalog().CreateTable(ctx, accountsSchema())
+		txn, _ := e.PNs[0].Begin(ctx)
+		txn.Insert(ctx, table, account(7, "first", 0))
+		txn.Insert(ctx, table, account(7, "second", 0))
+		if err := txn.Commit(ctx); err != core.ErrDuplicateKey {
+			t.Fatalf("want ErrDuplicateKey, got %v", err)
+		}
+		check, _ := e.PNs[0].Begin(ctx)
+		if _, row, found, _ := check.LookupPK(ctx, table, relational.I64(7)); found {
+			t.Fatalf("aborted insert visible: %v", row)
+		}
+		mustCommit(t, ctx, check)
+	})
+}
+
+// TestStalePrimaryKeyEntryReplaced deletes a row and garbage-collects its
+// record, which leaves its primary-key entry pointing at a rid with no
+// record. Inserting the key again must replace that stale entry.
+func TestStalePrimaryKeyEntryReplaced(t *testing.T) {
+	e := newEngine(t, 1, core.TB)
+	e.run(t, func(ctx env.Ctx) {
+		pn := e.PNs[0]
+		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
+		ins, _ := pn.Begin(ctx)
+		oldRid, _ := ins.Insert(ctx, table, account(7, "first", 0))
+		mustCommit(t, ctx, ins)
+		del, _ := pn.Begin(ctx)
+		del.Delete(ctx, table, oldRid)
+		mustCommit(t, ctx, del)
+		ctx.Sleep(50 * time.Millisecond) // lav catches up
+		if res, err := pn.LazyGC(ctx, []*core.TableInfo{table}); err != nil || res.RecordsRemoved != 1 {
+			t.Fatalf("gc: %+v %v", res, err)
+		}
+		pkKey := table.PKKey(account(7, "", 0))
+		if v, ok, err := table.PK.Lookup(ctx, pkKey); err != nil || !ok || relational.RidFromIndexVal(v) != oldRid {
+			t.Fatalf("stale entry not in place before the re-insert: %v %v", ok, err)
+		}
+		again, _ := pn.Begin(ctx)
+		newRid, _ := again.Insert(ctx, table, account(7, "again", 0))
+		mustCommit(t, ctx, again)
+		if v, ok, err := table.PK.Lookup(ctx, pkKey); err != nil || !ok || relational.RidFromIndexVal(v) != newRid {
+			t.Fatalf("entry not replaced: rid %d, want %d (%v %v)", relational.RidFromIndexVal(v), newRid, ok, err)
+		}
+		check, _ := pn.Begin(ctx)
+		if _, row, found, _ := check.LookupPK(ctx, table, relational.I64(7)); !found || row[1].S != "again" {
+			t.Fatalf("re-inserted row: %v %v", row, found)
+		}
+		mustCommit(t, ctx, check)
+	})
+}
+
 // TestBankTransfersPreserveTotal is the classic isolation litmus test:
 // concurrent transfers with conflict-retry must preserve the total balance.
 func TestBankTransfersPreserveTotal(t *testing.T) {

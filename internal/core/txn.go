@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"tell/internal/btree"
 	"tell/internal/det"
 	"tell/internal/env"
 	"tell/internal/mvcc"
@@ -625,20 +627,29 @@ func (t *Txn) ownVersionApplied(ctx env.Ctx, ks string) bool {
 // maintainIndexes inserts the index entries required by this transaction's
 // writes. Indexes are version-unaware (§5.3.2): new entries appear only for
 // inserts and for updates that changed an indexed key; obsolete entries are
-// garbage collected by readers (§5.4). The tree operations are independent
-// and run concurrently so the request batcher coalesces their traffic
-// (§5.1).
+// garbage collected by readers (§5.4). The entries are grouped by tree and
+// each tree takes its share in one batched insert, which writes every leaf
+// once (§5.1, §5.3); the trees run concurrently so the request batcher
+// coalesces their traffic.
 func (t *Txn) maintainIndexes(ctx env.Ctx) error {
-	var ops []func(env.Ctx) error
+	var batches []*indexBatch
+	add := func(tree *btree.Tree, pkOf *TableInfo, key []byte, rid uint64) {
+		i := slices.IndexFunc(batches, func(b *indexBatch) bool { return b.tree == tree })
+		if i < 0 {
+			i = len(batches)
+			batches = append(batches, &indexBatch{tree: tree, pkOf: pkOf})
+		}
+		batches[i].keys = append(batches[i].keys, key)
+		batches[i].vals = append(batches[i].vals, relational.RidToIndexVal(rid))
+	}
 	for _, ks := range t.order {
 		w := t.writes[ks]
 		ctx.Work(t.pn.cfg.Costs.IndexOp)
 		if w.isInsert {
-			ops = append(ops, t.pkInsertOp(w.table, w.table.PKKey(w.newRow), w.rid))
+			add(w.table.PK, w.table, w.table.PKKey(w.newRow), w.rid)
 			for _, name := range det.Keys(w.table.Sec) {
 				ix := t.secSchema(w.table, name)
-				key := relational.AppendRid(relational.IndexKeyFromRow(w.newRow, ix.Cols), w.rid)
-				ops = append(ops, t.secInsertOp(w.table.Sec[name], key, w.rid))
+				add(w.table.Sec[name], nil, relational.AppendRid(relational.IndexKeyFromRow(w.newRow, ix.Cols), w.rid), w.rid)
 			}
 			continue
 		}
@@ -647,58 +658,57 @@ func (t *Txn) maintainIndexes(ctx env.Ctx) error {
 		}
 		// Updates: insert entries only for changed indexed keys.
 		for _, name := range det.Keys(w.table.Sec) {
-			tree := w.table.Sec[name]
 			ix := t.secSchema(w.table, name)
 			oldKey := relational.IndexKeyFromRow(w.oldRow, ix.Cols)
 			newKey := relational.IndexKeyFromRow(w.newRow, ix.Cols)
 			if string(oldKey) == string(newKey) {
 				continue
 			}
-			ops = append(ops, t.secInsertOp(tree, relational.AppendRid(newKey, w.rid), w.rid))
+			add(w.table.Sec[name], nil, relational.AppendRid(newKey, w.rid), w.rid)
 		}
 		oldPK := w.table.PKKey(w.oldRow)
 		newPK := w.table.PKKey(w.newRow)
 		if string(oldPK) != string(newPK) {
-			ops = append(ops, t.pkInsertOp(w.table, newPK, w.rid))
+			add(w.table.PK, w.table, newPK, w.rid)
 		}
 	}
-	return t.parallelIndexOps(ctx, ops)
+	return t.parallelIndexOps(ctx, batches)
 }
 
-// pkInsertOp builds the primary-key insertion closure with the
-// duplicate-key check.
-func (t *Txn) pkInsertOp(table *TableInfo, pkKey []byte, rid uint64) func(env.Ctx) error {
-	return func(ictx env.Ctx) error {
-		existed, err := table.PK.Insert(ictx, pkKey, relational.RidToIndexVal(rid))
-		if err != nil {
-			return err
+// indexBatch is one tree's share of a commit's index entries; the values
+// are the entries' rids. pkOf is set when the tree is that table's primary
+// key index, whose inserts are checked for duplicates.
+type indexBatch struct {
+	tree       *btree.Tree
+	pkOf       *TableInfo
+	keys, vals [][]byte
+}
+
+// insertBatch inserts a batch into its tree. On a primary-key tree, a key
+// that already existed belongs to another rid: if that rid's record is
+// alive this is a duplicate-key violation; otherwise the entry is stale and
+// is replaced.
+func (t *Txn) insertBatch(ctx env.Ctx, b *indexBatch) error {
+	existed, err := b.tree.InsertMany(ctx, b.keys, b.vals)
+	if err != nil || b.pkOf == nil {
+		return err
+	}
+	for i, ex := range existed {
+		if !ex {
+			continue
 		}
-		if !existed {
-			return nil
-		}
-		// Another rid already owns this primary key. If its record is
-		// alive this is a duplicate-key violation; otherwise the entry
-		// is stale and can be replaced.
-		dup, err := t.pkAlive(ictx, table, pkKey, rid)
+		dup, err := t.pkAlive(ctx, b.pkOf, b.keys[i], relational.RidFromIndexVal(b.vals[i]))
 		if err != nil {
 			return err
 		}
 		if dup {
 			return ErrDuplicateKey
 		}
-		_, err = table.PK.Update(ictx, pkKey, relational.RidToIndexVal(rid))
-		return err
+		if _, err := b.tree.Update(ctx, b.keys[i], b.vals[i]); err != nil {
+			return err
+		}
 	}
-}
-
-// secInsertOp builds a secondary-index insertion closure.
-func (t *Txn) secInsertOp(tree interface {
-	Insert(ctx env.Ctx, key, val []byte) (bool, error)
-}, key []byte, rid uint64) func(env.Ctx) error {
-	return func(ictx env.Ctx) error {
-		_, err := tree.Insert(ictx, key, relational.RidToIndexVal(rid))
-		return err
-	}
+	return nil
 }
 
 // pkAlive reports whether the existing PK entry points at a record that

@@ -2,9 +2,10 @@ package tpcc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"tell/internal/btree"
 	"tell/internal/mvcc"
@@ -71,15 +72,13 @@ type tableLoader struct {
 	l       *loader
 	schema  *relational.TableSchema
 	nextRid uint64
-	pkPairs []btree.Pair
-	secs    map[string][]btree.Pair
+	pk      indexEntries
+	secs    []indexEntries // parallel to schema.Indexes
 }
 
 func (l *loader) table(name string) *tableLoader {
-	t := &tableLoader{l: l, schema: l.out.Schemas[name], secs: make(map[string][]btree.Pair)}
-	for _, ix := range t.schema.Indexes {
-		t.secs[ix.Name] = nil
-	}
+	t := &tableLoader{l: l, schema: l.out.Schemas[name]}
+	t.secs = make([]indexEntries, len(t.schema.Indexes))
 	return t
 }
 
@@ -98,37 +97,81 @@ func (t *tableLoader) add(row relational.Row) error {
 	}
 	t.l.out.Rows++
 	t.l.out.Bytes += len(val)
-	t.pkPairs = append(t.pkPairs, btree.Pair{
-		Key: relational.IndexKeyFromRow(row, t.schema.PKCols),
-		Val: relational.RidToIndexVal(rid),
-	})
-	for _, ix := range t.schema.Indexes {
-		key := relational.AppendRid(relational.IndexKeyFromRow(row, ix.Cols), rid)
-		t.secs[ix.Name] = append(t.secs[ix.Name], btree.Pair{Key: key, Val: relational.RidToIndexVal(rid)})
+	t.pk.add(row, t.schema.PKCols, rid, false)
+	for i, ix := range t.schema.Indexes {
+		t.secs[i].add(row, ix.Cols, rid, true)
 	}
 	return nil
 }
 
 // finish sorts and bulk-builds the table's indexes and sets its rid counter.
 func (t *tableLoader) finish() error {
-	sortPairs(t.pkPairs)
-	if err := btree.BulkBuild(relational.PKIndexName(t.schema.Name), t.pkPairs, 64,
-		t.l.cluster.BulkLoad, t.l.cluster.BulkLoadCounter); err != nil {
+	if err := t.pk.build(relational.PKIndexName(t.schema.Name), t.l.cluster); err != nil {
 		return fmt.Errorf("tpcc: pk index of %s: %w", t.schema.Name, err)
 	}
-	for _, ix := range t.schema.Indexes {
-		pairs := t.secs[ix.Name]
-		sortPairs(pairs)
-		if err := btree.BulkBuild(relational.SecIndexName(t.schema.Name, ix.Name), pairs, 64,
-			t.l.cluster.BulkLoad, t.l.cluster.BulkLoadCounter); err != nil {
+	for i, ix := range t.schema.Indexes {
+		if err := t.secs[i].build(relational.SecIndexName(t.schema.Name, ix.Name), t.l.cluster); err != nil {
 			return fmt.Errorf("tpcc: index %s of %s: %w", ix.Name, t.schema.Name, err)
 		}
 	}
 	return t.l.cluster.BulkLoadCounter(relational.RidCounterKey(t.schema.ID), int64(t.nextRid))
 }
 
-func sortPairs(pairs []btree.Pair) {
-	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].Key, pairs[j].Key) < 0 })
+// indexEntries collects one index's entries until its table is finished:
+// the keys back to back in one arena (ends[i] closes key i) and the 8-byte
+// rid values in another. Hundreds of thousands of entries then live in a
+// few large slices rather than three small allocations each.
+type indexEntries struct {
+	keys []byte
+	ends []uint32
+	vals []byte
+}
+
+// add appends the entry of row for the index on cols; a secondary index
+// key carries the rid as a suffix to keep non-unique keys distinct.
+func (e *indexEntries) add(row relational.Row, cols []int, rid uint64, withRid bool) {
+	e.keys, e.ends, e.vals = grow(e.keys, 64), grow(e.ends, 1), grow(e.vals, 8)
+	for _, c := range cols {
+		e.keys = relational.AppendKeyValue(e.keys, row[c])
+	}
+	if withRid {
+		e.keys = relational.AppendRid(e.keys, rid)
+	}
+	e.ends = append(e.ends, uint32(len(e.keys)))
+	e.vals = binary.BigEndian.AppendUint64(e.vals, rid)
+}
+
+// grow makes room for n more elements in s by doubling its capacity:
+// append's 1.25× steps for large slices would copy an arena of a few
+// hundred thousand entries about five times its final size over a load.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, len(s)+n)
+	}
+	return s
+}
+
+func (e *indexEntries) entry(i int) (key, val []byte) {
+	start := uint32(0)
+	if i > 0 {
+		start = e.ends[i-1]
+	}
+	return e.keys[start:e.ends[i]:e.ends[i]], e.vals[8*i : 8*i+8 : 8*i+8]
+}
+
+// build sorts the entries by key and bulk-builds the tree name from them.
+func (e *indexEntries) build(name string, cluster *store.Cluster) error {
+	perm := make([]int32, len(e.ends))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		ka, _ := e.entry(int(a))
+		kb, _ := e.entry(int(b))
+		return bytes.Compare(ka, kb)
+	})
+	return btree.BulkBuild(name, len(perm), func(i int) ([]byte, []byte) { return e.entry(int(perm[i])) },
+		64, cluster.BulkLoad, cluster.BulkLoadCounter)
 }
 
 func (l *loader) loadItems() error {

@@ -17,7 +17,14 @@ import (
 // goroutine per client no later op comes along to release it, and the
 // transaction waits for ever. A watchdog turns a hang into a failure with
 // every goroutine's stack.
-func TestConcurrentTransactStress(t *testing.T) {
+func TestConcurrentTransactStress(t *testing.T) { transactStress(t, false) }
+
+// TestConcurrentTransactStressSharedTable is the same load on one table
+// shared by all four processing nodes: their commits split the same fresh
+// index trees, root included, from different handles at once.
+func TestConcurrentTransactStressSharedTable(t *testing.T) { transactStress(t, true) }
+
+func transactStress(t *testing.T, shared bool) {
 	const workers, txns, inserts = 4, 25, 50
 	c := startCluster(t, tell.Options{StorageNodes: 3})
 	dbs := make([]*tell.DB, workers)
@@ -28,8 +35,15 @@ func TestConcurrentTransactStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		schema := usersSchema()
-		schema.Name = fmt.Sprintf("users%d", w)
-		table, err := db.CreateTable(schema)
+		var table *tell.Table
+		if shared && w > 0 {
+			table, err = db.OpenTable(schema.Name)
+		} else {
+			if !shared {
+				schema.Name = fmt.Sprintf("users%d", w)
+			}
+			table, err = db.CreateTable(schema)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +89,9 @@ func TestConcurrentTransactStress(t *testing.T) {
 	}
 
 	for w, db := range dbs {
+		if shared && w > 0 {
+			break
+		}
 		tx, err := db.Begin()
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +103,11 @@ func TestConcurrentTransactStress(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if want := txns * inserts; rows != want {
+		want := txns * inserts
+		if shared {
+			want *= workers
+		}
+		if rows != want {
 			t.Fatalf("%s holds %d rows, want %d", tables[w].Name(), rows, want)
 		}
 	}
