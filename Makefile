@@ -127,15 +127,18 @@ obs-golden:
 	$(GO) test ./internal/exp -run TestObsGoldenDeterminism -count=1
 	$(GO) test ./internal/obs -run 'TestPromGolden|TestDeterministicDump' -count=1
 
-# Everything CI runs, in order (race on the fast packages and the embedded
-# real-environment stress test only). .github/workflows/ci.yml runs this
+# Everything CI runs, in order (race on the fast packages — the engine core
+# and TPC-C, whose read rounds write shared result slices from concurrent
+# sub-activities, among them — and the embedded real-environment stress
+# test only). .github/workflows/ci.yml runs this
 # target, so this is the one list of CI steps.
 ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -C bench .
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim ./internal/transport \
-		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy
+		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy \
+		./internal/core ./internal/tpcc
 	$(GO) test -race -run TestConcurrentTransactStress .
 	$(MAKE) assembly-gate
 	$(MAKE) chaos-race

@@ -672,3 +672,71 @@ func TestInsertManyWritesLeafOnce(t *testing.T) {
 		}
 	})
 }
+
+// TestDeleteMany removes keys in batches: keys that share a leaf cost that
+// leaf one conditional put, an absent key or a key given twice is reported
+// not removed, and across many leaves exactly the batch's keys go.
+func TestDeleteMany(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	writes := func() (n uint64) {
+		for _, addr := range h.cluster.Addrs() {
+			_, w, _ := h.cluster.Node(addr).OpStats()
+			n += w
+		}
+		return n
+	}
+	h.run(t, func(ctx env.Ctx) {
+		if err := btree.Create(ctx, "one", h.client); err != nil {
+			t.Fatal(err)
+		}
+		one := btree.New("one", h.client)
+		for i := 0; i < 6; i++ {
+			if _, err := one.Insert(ctx, key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := writes()
+		removed, err := one.DeleteMany(ctx, [][]byte{key(4), key(1), key(99), key(2), key(1), key(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := writes() - before; n != 1 {
+			t.Fatalf("deleting 4 keys of one leaf issued %d store writes, want 1", n)
+		}
+		if want := []bool{true, true, false, true, false, true}; fmt.Sprint(removed) != fmt.Sprint(want) {
+			t.Fatalf("removed %v, want %v", removed, want)
+		}
+
+		if err := btree.Create(ctx, "many", h.client); err != nil {
+			t.Fatal(err)
+		}
+		many := btree.New("many", h.client)
+		many.MaxKeys = 4
+		for i := 0; i < 60; i++ {
+			if _, err := many.Insert(ctx, key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(testutil.Seed(t, 5)))
+		gone := map[int]bool{}
+		var keys [][]byte
+		for _, i := range rng.Perm(60)[:30] {
+			gone[i] = true
+			keys = append(keys, key(i))
+		}
+		removed, err = many.DeleteMany(ctx, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range removed {
+			if !r {
+				t.Fatalf("key %s reported not removed", keys[j])
+			}
+		}
+		for i := 0; i < 60; i++ {
+			if _, ok, err := many.Lookup(ctx, key(i)); err != nil || ok == gone[i] {
+				t.Fatalf("key %d: found=%v err=%v, deleted=%v", i, ok, err, gone[i])
+			}
+		}
+	})
+}

@@ -297,26 +297,40 @@ func (t *Tree) Insert(ctx env.Ctx, key, val []byte) (existed bool, err error) {
 // new ones, so the result splits at most once) and installs the leaf with
 // one conditional put (§5.3). A conflict retries only that round's keys.
 func (t *Tree) InsertMany(ctx env.Ctx, keys, vals [][]byte) (existed []bool, err error) {
+	existed = make([]bool, len(keys))
+	if err := t.byLeaf(keys, func(pending []int) (int, bool, error) {
+		return t.insertRound(ctx, keys, vals, pending, existed)
+	}); err != nil {
+		return nil, err
+	}
+	return existed, nil
+}
+
+// byLeaf hands round the indexes of keys in key order until every key is
+// settled. Each call settles the pending keys that share the first one's
+// leaf and reports how many, or reports that its leaf write raced with
+// another writer; a race retries the same keys, up to Retries times in a
+// row.
+func (t *Tree) byLeaf(keys [][]byte, round func(pending []int) (n int, ok bool, err error)) error {
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
-	existed = make([]bool, len(keys))
 	for p, raced := 0, 0; p < len(order); {
-		n, ok, err := t.insertRound(ctx, keys, vals, order[p:], existed)
+		n, ok, err := round(order[p:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
 			p, raced = p+n, 0
 			continue
 		}
 		if raced++; raced == t.Retries {
-			return nil, ErrRetriesExhausted
+			return ErrRetriesExhausted
 		}
 	}
-	return existed, nil
+	return nil
 }
 
 // insertRound installs the entries of pending (indexes into keys and vals,
@@ -643,32 +657,63 @@ func (t *Tree) descendToLevel(ctx env.Ctx, key []byte, level int) (uint64, error
 }
 
 // Delete removes key from the tree, reporting whether it was present.
-// Structural shrinking is lazy: emptied leaves stay linked (readers skip
-// them via B-link pointers), matching the paper's lazy index GC stance.
 func (t *Tree) Delete(ctx env.Ctx, key []byte) (bool, error) {
-	for attempt := 0; attempt < t.Retries; attempt++ {
-		path, err := t.descend(ctx, key)
-		if err != nil {
-			return false, err
-		}
-		leaf := path[len(path)-1].n
-		stamp := path[len(path)-1].stamp
-		i, ok := leaf.findKey(key)
-		if !ok {
-			return false, nil
-		}
-		nl := leaf.clone()
-		nl.removeLeaf(i)
-		_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
-		if err == nil {
-			return true, nil
-		}
-		if err == store.ErrConflict || err == store.ErrNotFound {
-			continue
-		}
+	removed, err := t.DeleteMany(ctx, [][]byte{key})
+	if err != nil {
 		return false, err
 	}
-	return false, ErrRetriesExhausted
+	return removed[0], nil
+}
+
+// DeleteMany removes every key present and reports per key whether it was;
+// a key given twice is reported removed once. Keys that share a leaf go
+// together, as in InsertMany: each round descends to the leaf covering the
+// lowest pending key, drops every pending key that leaf covers and installs
+// it with one conditional put; a conflict retries only that round's keys. Structural shrinking is lazy: emptied leaves stay
+// linked (readers skip them via B-link pointers), matching the paper's lazy
+// index GC stance.
+func (t *Tree) DeleteMany(ctx env.Ctx, keys [][]byte) (removed []bool, err error) {
+	removed = make([]bool, len(keys))
+	if err := t.byLeaf(keys, func(pending []int) (int, bool, error) {
+		return t.deleteRound(ctx, keys, pending, removed)
+	}); err != nil {
+		return nil, err
+	}
+	return removed, nil
+}
+
+// deleteRound removes the keys of pending (indexes into keys, in key order)
+// that fall into the leaf covering the first of them, and reports how many
+// of them it settled. ok is false when the leaf write raced with another
+// writer; nothing was settled then.
+func (t *Tree) deleteRound(ctx env.Ctx, keys [][]byte, pending []int, removed []bool) (n int, ok bool, err error) {
+	path, err := t.descend(ctx, keys[pending[0]])
+	if err != nil {
+		return 0, false, err
+	}
+	leaf := path[len(path)-1].n
+	stamp := path[len(path)-1].stamp
+	nl := leaf
+	for ; n < len(pending) && leaf.covers(keys[pending[n]]); n++ {
+		e := pending[n]
+		i, found := nl.findKey(keys[e])
+		removed[e] = found
+		if !found {
+			continue
+		}
+		if nl == leaf {
+			nl = leaf.clone()
+		}
+		nl.removeLeaf(i)
+	}
+	if nl == leaf {
+		return n, true, nil
+	}
+	_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
+	if err == store.ErrConflict || err == store.ErrNotFound {
+		return 0, false, nil
+	}
+	return n, err == nil, err
 }
 
 // Update replaces the value under key, reporting whether it was present.

@@ -88,6 +88,8 @@ type Txn struct {
 	reads  map[string]*readEntry
 	writes map[string]*writeIntent
 	order  []string
+	// keyBuf is reused by ReadRound to check entries against their rows.
+	keyBuf []byte
 }
 
 // Begin starts a transaction: it contacts the commit manager for a tid,

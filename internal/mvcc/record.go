@@ -52,7 +52,12 @@ func (rec *Record) Encode() []byte {
 	for i := range rec.Versions {
 		size += 12 + len(rec.Versions[i].Data)
 	}
-	w := wire.NewWriter(size)
+	return rec.Append(make([]byte, 0, size))
+}
+
+// Append appends the record's serialization to dst.
+func (rec *Record) Append(dst []byte) []byte {
+	w := wire.AppendWriter(dst)
 	w.Uvarint(uint64(len(rec.Versions)))
 	for i := range rec.Versions {
 		v := &rec.Versions[i]

@@ -176,7 +176,11 @@ func SchemaKey(name string) []byte { return []byte("schema/" + name) }
 // RecordKey is the store key of a row: "d/<tableID>/<rid BE>". One row, one
 // key-value pair (§5.1).
 func RecordKey(tableID uint32, rid uint64) []byte {
-	k := make([]byte, 0, 16)
+	return AppendRecordKey(make([]byte, 0, 16), tableID, rid)
+}
+
+// AppendRecordKey appends the record key of (tableID, rid) to k.
+func AppendRecordKey(k []byte, tableID uint32, rid uint64) []byte {
 	k = append(k, 'd', '/')
 	k = binary.BigEndian.AppendUint32(k, tableID)
 	k = append(k, '/')

@@ -75,11 +75,16 @@ type Row []Value
 
 // EncodeRow serializes a row against its schema.
 func EncodeRow(s *TableSchema, row Row) ([]byte, error) {
+	return AppendRow(make([]byte, 0, 16*len(row)), s, row)
+}
+
+// AppendRow appends the serialization of a row against its schema to dst.
+func AppendRow(dst []byte, s *TableSchema, row Row) ([]byte, error) {
 	if len(row) != len(s.Cols) {
 		return nil, fmt.Errorf("relational: row has %d values, table %s has %d columns",
 			len(row), s.Name, len(s.Cols))
 	}
-	w := wire.NewWriter(16 * len(row))
+	w := wire.AppendWriter(dst)
 	for i, v := range row {
 		if v.T != s.Cols[i].Type {
 			return nil, fmt.Errorf("relational: column %s.%s is %v, got %v",
@@ -201,7 +206,12 @@ func EncodeKey(vals ...Value) []byte {
 
 // IndexKeyFromRow builds the index key of a row for the given column set.
 func IndexKeyFromRow(row Row, cols []int) []byte {
-	var dst []byte
+	return AppendIndexKey(nil, row, cols)
+}
+
+// AppendIndexKey appends the index key of a row for the given column set
+// to dst.
+func AppendIndexKey(dst []byte, row Row, cols []int) []byte {
 	for _, c := range cols {
 		dst = AppendKeyValue(dst, row[c])
 	}

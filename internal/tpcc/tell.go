@@ -78,14 +78,29 @@ func (e *TellEngine) NewOrder(ctx env.Ctx, in *NewOrderInput) (bool, error) {
 	ot, not, olt := e.tables[TOrders], e.tables[TNewOrder], e.tables[TOrderLine]
 	return e.run(ctx, func(wctx env.Ctx, txn *core.Txn) error {
 		wctx.Work(e.pn.Costs().Logic)
-		_, wRow, found, err := txn.LookupPK(wctx, wt, i64v(in.W))
-		if err != nil || !found {
-			return orNotFound(err, "warehouse")
+		// One read round (§5.1): the warehouse, district and customer rows
+		// and every item and stock row travel together.
+		reads := make([]core.Read, 3+2*len(in.Items))
+		w, d, c := &reads[0], &reads[1], &reads[2]
+		*w = core.PKRead(wt, i64v(in.W))
+		*d = core.PKRead(dt, i64v(in.W), i64v(in.D))
+		*c = core.PKRead(ct, i64v(in.W), i64v(in.D), i64v(in.C))
+		items, stocks := reads[3:3+len(in.Items)], reads[3+len(in.Items):]
+		for n, item := range in.Items {
+			items[n] = core.PKRead(it, i64v(item.ItemID))
+			stocks[n] = core.PKRead(st, i64v(item.SupplyW), i64v(item.ItemID))
+		}
+		if err := txn.ReadRound(wctx, reads); err != nil {
+			return err
+		}
+		_, wRow, found := w.Row()
+		if !found {
+			return orNotFound(nil, "warehouse")
 		}
 		wTax := wRow[WTax].F
-		dRid, dRow, found, err := txn.LookupPK(wctx, dt, i64v(in.W), i64v(in.D))
-		if err != nil || !found {
-			return orNotFound(err, "district")
+		dRid, dRow, found := d.Row()
+		if !found {
+			return orNotFound(nil, "district")
 		}
 		dTax := dRow[DTax].F
 		oID := dRow[DNextOID].I
@@ -94,9 +109,9 @@ func (e *TellEngine) NewOrder(ctx env.Ctx, in *NewOrderInput) (bool, error) {
 		if _, err := txn.Update(wctx, dt, dRid, dNew); err != nil {
 			return err
 		}
-		_, cRow, found, err := txn.LookupPK(wctx, ct, i64v(in.W), i64v(in.D), i64v(in.C))
-		if err != nil || !found {
-			return orNotFound(err, "customer")
+		_, cRow, found := c.Row()
+		if !found {
+			return orNotFound(nil, "customer")
 		}
 		discount := cRow[CDiscount].F
 
@@ -116,22 +131,6 @@ func (e *TellEngine) NewOrder(ctx env.Ctx, in *NewOrderInput) (bool, error) {
 		}); err != nil {
 			return err
 		}
-		// Batched reads (§5.1): all item and stock rows travel in a
-		// handful of requests instead of two round trips per line.
-		itemKeys := make([][]relational.Value, len(in.Items))
-		stockKeys := make([][]relational.Value, len(in.Items))
-		for n, item := range in.Items {
-			itemKeys[n] = []relational.Value{i64v(item.ItemID)}
-			stockKeys[n] = []relational.Value{i64v(item.SupplyW), i64v(item.ItemID)}
-		}
-		_, itemRows, err := txn.ReadMany(wctx, it, itemKeys)
-		if err != nil {
-			return err
-		}
-		stockRids, stockRows, err := txn.ReadMany(wctx, st, stockKeys)
-		if err != nil {
-			return err
-		}
 		total := 0.0
 		for n, item := range in.Items {
 			if in.InvalidItem && n == len(in.Items)-1 {
@@ -139,13 +138,13 @@ func (e *TellEngine) NewOrder(ctx env.Ctx, in *NewOrderInput) (bool, error) {
 				// transaction rolls back.
 				return errUserAbort
 			}
-			iRow := itemRows[n]
-			if iRow == nil {
+			_, iRow, found := items[n].Row()
+			if !found {
 				return errUserAbort
 			}
 			price := iRow[IPrice].F
-			sRid, sRow := stockRids[n], stockRows[n]
-			if sRow == nil {
+			sRid, sRow, found := stocks[n].Row()
+			if !found {
 				return orNotFound(nil, "stock")
 			}
 			sNew := cloneRow(sRow)
@@ -184,25 +183,35 @@ func (e *TellEngine) Payment(ctx env.Ctx, in *PaymentInput) (bool, error) {
 	wt, dt, ct, ht := e.tables[TWarehouse], e.tables[TDistrict], e.tables[TCustomer], e.tables[THistory]
 	return e.run(ctx, func(wctx env.Ctx, txn *core.Txn) error {
 		wctx.Work(e.pn.Costs().Logic)
-		wRid, wRow, found, err := txn.LookupPK(wctx, wt, i64v(in.W))
-		if err != nil || !found {
-			return orNotFound(err, "warehouse")
+		// One read round: warehouse, district and the customer, by id or
+		// through the last-name index.
+		reads := []core.Read{
+			core.PKRead(wt, i64v(in.W)),
+			core.PKRead(dt, i64v(in.W), i64v(in.D)),
+			customerRead(ct, in.CW, in.CD, in.ByLastName, in.CLast, in.C),
+		}
+		if err := txn.ReadRound(wctx, reads); err != nil {
+			return err
+		}
+		wRid, wRow, found := reads[0].Row()
+		if !found {
+			return orNotFound(nil, "warehouse")
 		}
 		wNew := cloneRow(wRow)
 		wNew[WYtd] = relational.F64(wRow[WYtd].F + in.Amount)
 		if _, err := txn.Update(wctx, wt, wRid, wNew); err != nil {
 			return err
 		}
-		dRid, dRow, found, err := txn.LookupPK(wctx, dt, i64v(in.W), i64v(in.D))
-		if err != nil || !found {
-			return orNotFound(err, "district")
+		dRid, dRow, found := reads[1].Row()
+		if !found {
+			return orNotFound(nil, "district")
 		}
 		dNew := cloneRow(dRow)
 		dNew[DYtd] = relational.F64(dRow[DYtd].F + in.Amount)
 		if _, err := txn.Update(wctx, dt, dRid, dNew); err != nil {
 			return err
 		}
-		cRid, cRow, err := e.selectCustomer(wctx, txn, in.CW, in.CD, in.ByLastName, in.CLast, in.C)
+		cRid, cRow, err := pickCustomer(&reads[2], in.ByLastName)
 		if err != nil {
 			return err
 		}
@@ -233,47 +242,45 @@ func (e *TellEngine) Payment(ctx env.Ctx, in *PaymentInput) (bool, error) {
 	})
 }
 
-// selectCustomer resolves a customer by id or by last name (clause 2.5.2.2:
-// by last name, pick the middle row ordered by c_first).
-func (e *TellEngine) selectCustomer(wctx env.Ctx, txn *core.Txn, w, d int, byLast bool, last string, c int) (uint64, relational.Row, error) {
-	ct := e.tables[TCustomer]
+// customerRead reads a customer by id or by last name (clause 2.5.2.2).
+func customerRead(ct *core.TableInfo, w, d int, byLast bool, last string, c int) core.Read {
+	if byLast {
+		return core.IndexPrefixRead(ct, IdxCustomerByLast, []relational.Value{i64v(w), i64v(d), relational.Str(last)})
+	}
+	return core.PKRead(ct, i64v(w), i64v(d), i64v(c))
+}
+
+// pickCustomer selects the customer of a customerRead: by last name, the
+// middle row ordered by c_first (clause 2.5.2.2).
+func pickCustomer(r *core.Read, byLast bool) (uint64, relational.Row, error) {
 	if !byLast {
-		rid, row, found, err := txn.LookupPK(wctx, ct, i64v(w), i64v(d), i64v(c))
-		if err != nil || !found {
-			return 0, nil, orNotFound(err, "customer")
+		rid, row, found := r.Row()
+		if !found {
+			return 0, nil, orNotFound(nil, "customer")
 		}
 		return rid, row, nil
 	}
-	type match struct {
-		rid uint64
-		row relational.Row
-	}
-	var matches []match
-	err := txn.ScanIndexPrefix(wctx, ct, IdxCustomerByLast,
-		[]relational.Value{i64v(w), i64v(d), relational.Str(last)},
-		func(en core.IndexEntry) bool {
-			matches = append(matches, match{rid: en.Rid, row: en.Row})
-			return true
-		})
-	if err != nil {
-		return 0, nil, err
-	}
+	matches := r.Rows()
 	if len(matches) == 0 {
 		return 0, nil, errUserAbort
 	}
 	sort.Slice(matches, func(i, j int) bool {
-		return matches[i].row[CFirst].S < matches[j].row[CFirst].S
+		return matches[i].Row[CFirst].S < matches[j].Row[CFirst].S
 	})
 	m := matches[len(matches)/2]
-	return m.rid, m.row, nil
+	return m.Rid, m.Row, nil
 }
 
 // OrderStatus implements the order-status transaction (clause 2.6).
 func (e *TellEngine) OrderStatus(ctx env.Ctx, in *OrderStatusInput) (bool, error) {
-	ot, olt := e.tables[TOrders], e.tables[TOrderLine]
+	ct, ot, olt := e.tables[TCustomer], e.tables[TOrders], e.tables[TOrderLine]
 	return e.run(ctx, func(wctx env.Ctx, txn *core.Txn) error {
 		wctx.Work(e.pn.Costs().Logic)
-		_, cRow, err := e.selectCustomer(wctx, txn, in.W, in.D, in.ByLastName, in.CLast, in.C)
+		reads := []core.Read{customerRead(ct, in.W, in.D, in.ByLastName, in.CLast, in.C)}
+		if err := txn.ReadRound(wctx, reads); err != nil {
+			return err
+		}
+		_, cRow, err := pickCustomer(&reads[0], in.ByLastName)
 		if err != nil {
 			return err
 		}
@@ -308,25 +315,29 @@ func (e *TellEngine) OrderStatus(ctx env.Ctx, in *OrderStatusInput) (bool, error
 
 // Delivery implements the delivery transaction (clause 2.7): for each of
 // the ten districts, the oldest undelivered order is delivered. The
-// districts advance together in rounds, so the order and customer rows of
-// all ten travel in one batched read each (§5.1); writes stay buffered until
-// commit and every read sees the same snapshot, so the outcome is that of
-// delivering the districts one after another.
+// districts advance together in three read rounds (§5.1) — the oldest
+// new-orders, then the orders with their order-lines, then the customers;
+// writes stay buffered until commit and every read sees the same snapshot,
+// so the outcome is that of delivering the districts one after another.
 func (e *TellEngine) Delivery(ctx env.Ctx, in *DeliveryInput) (bool, error) {
 	not, ot, olt, ct := e.tables[TNewOrder], e.tables[TOrders], e.tables[TOrderLine], e.tables[TCustomer]
 	return e.run(ctx, func(wctx env.Ctx, txn *core.Txn) error {
 		wctx.Work(e.pn.Costs().Logic)
 		// The oldest new-order of each district (ORDER BY no_o_id LIMIT 1),
 		// consumed. Districts without one are skipped.
-		var ds []int
-		var orderKeys [][]relational.Value
+		firsts := make([]core.Read, DistrictsPerWarehouse)
 		for d := 1; d <= DistrictsPerWarehouse; d++ {
-			noRid, noRow, found, err := txn.FirstPK(wctx, not,
+			firsts[d-1] = core.FirstRead(not,
 				[]relational.Value{i64v(in.W), i64v(d)},
 				[]relational.Value{i64v(in.W), i64v(d + 1)})
-			if err != nil {
-				return err
-			}
+		}
+		if err := txn.ReadRound(wctx, firsts); err != nil {
+			return err
+		}
+		var ds []int
+		var orders []core.Read // per delivered district: its order, then its order-lines
+		for d := 1; d <= DistrictsPerWarehouse; d++ {
+			noRid, noRow, found := firsts[d-1].Row()
 			if !found {
 				continue
 			}
@@ -334,62 +345,50 @@ func (e *TellEngine) Delivery(ctx env.Ctx, in *DeliveryInput) (bool, error) {
 				return err
 			}
 			ds = append(ds, d)
-			orderKeys = append(orderKeys, []relational.Value{i64v(in.W), i64v(d), noRow[NOOID]})
+			oID := noRow[NOOID].I
+			orders = append(orders,
+				core.PKRead(ot, i64v(in.W), i64v(d), relational.I64(oID)),
+				core.RangeRead(olt,
+					[]relational.Value{i64v(in.W), i64v(d), relational.I64(oID)},
+					[]relational.Value{i64v(in.W), i64v(d), relational.I64(oID + 1)}))
 		}
-		oRids, oRows, err := txn.ReadMany(wctx, ot, orderKeys)
-		if err != nil {
+		if err := txn.ReadRound(wctx, orders); err != nil {
 			return err
 		}
 		totals := make([]float64, len(ds))
-		custKeys := make([][]relational.Value, len(ds))
+		custs := make([]core.Read, len(ds))
 		for i, d := range ds {
-			oRow := oRows[i]
-			if oRow == nil {
+			oRid, oRow, found := orders[2*i].Row()
+			if !found {
 				return orNotFound(nil, "order")
 			}
 			oNew := cloneRow(oRow)
 			oNew[OCarrierID] = relational.I64(int64(in.Carrier))
-			if _, err := txn.Update(wctx, ot, oRids[i], oNew); err != nil {
+			if _, err := txn.Update(wctx, ot, oRid, oNew); err != nil {
 				return err
 			}
-			type olUpd struct {
-				rid uint64
-				row relational.Row
-			}
-			var upds []olUpd
-			oID := oRow[OID].I
-			err = txn.ScanPK(wctx, olt,
-				[]relational.Value{i64v(in.W), i64v(d), relational.I64(oID)},
-				[]relational.Value{i64v(in.W), i64v(d), relational.I64(oID + 1)},
-				func(en core.IndexEntry) bool {
-					totals[i] += en.Row[OLAmount].F
-					upds = append(upds, olUpd{rid: en.Rid, row: en.Row})
-					return true
-				})
-			if err != nil {
-				return err
-			}
-			for _, u := range upds {
-				nr := cloneRow(u.row)
+			for _, ol := range orders[2*i+1].Rows() {
+				totals[i] += ol.Row[OLAmount].F
+				nr := cloneRow(ol.Row)
 				nr[OLDeliveryD] = relational.I64(int64(wctx.Now()) | 1)
-				if _, err := txn.Update(wctx, olt, u.rid, nr); err != nil {
+				if _, err := txn.Update(wctx, olt, ol.Rid, nr); err != nil {
 					return err
 				}
 			}
-			custKeys[i] = []relational.Value{i64v(in.W), i64v(d), oRow[OCID]}
+			custs[i] = core.PKRead(ct, i64v(in.W), i64v(d), oRow[OCID])
 		}
-		cRids, cRows, err := txn.ReadMany(wctx, ct, custKeys)
-		if err != nil {
+		if err := txn.ReadRound(wctx, custs); err != nil {
 			return err
 		}
-		for i, cRow := range cRows {
-			if cRow == nil {
+		for i := range custs {
+			cRid, cRow, found := custs[i].Row()
+			if !found {
 				return orNotFound(nil, "customer")
 			}
 			cNew := cloneRow(cRow)
 			cNew[CBalance] = relational.F64(cRow[CBalance].F + totals[i])
 			cNew[CDeliveryCnt] = relational.I64(cRow[CDeliveryCnt].I + 1)
-			if _, err := txn.Update(wctx, ct, cRids[i], cNew); err != nil {
+			if _, err := txn.Update(wctx, ct, cRid, cNew); err != nil {
 				return err
 			}
 		}

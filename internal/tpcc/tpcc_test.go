@@ -26,12 +26,18 @@ type rig struct {
 
 func newRig(t *testing.T, nPNs int, cfg tpcc.Config) *rig {
 	t.Helper()
+	return newRigPN(t, nPNs, cfg, core.Config{Workers: 8})
+}
+
+// newRigPN is newRig with an explicit PN configuration.
+func newRigPN(t *testing.T, nPNs int, cfg tpcc.Config, pn core.Config) *rig {
+	t.Helper()
 	s := deploy.NewSim(testutil.Seed(t, 77), transport.InfiniBand())
 	err := s.Build(deploy.Spec{
 		Storage: store.ClusterConfig{NumNodes: 2},
 		CMs:     1,
 		PNs:     nPNs,
-		PN:      core.Config{Workers: 8},
+		PN:      pn,
 	})
 	if err != nil {
 		t.Fatal(err)

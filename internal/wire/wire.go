@@ -28,6 +28,10 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
+// AppendWriter returns a writer that appends to dst, so a caller can encode
+// into a buffer it reuses.
+func AppendWriter(dst []byte) *Writer { return &Writer{buf: dst} }
+
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 

@@ -162,8 +162,17 @@ func compare(ctx context.Context, baseDir, changeDir, base, workload string, pai
 		}
 		b, c := got[baseDir], got[changeDir]
 		baseRuns, changeRuns = append(baseRuns, b), append(changeRuns, c)
-		fmt.Printf("%s pair %2d seed %d: host_us_per_txn base %.0f change %.0f\n", workload, i, seed,
-			b.Metrics["host_us_per_txn"].Value, c.Metrics["host_us_per_txn"].Value)
+		// Every run's noisiest metrics and the claimed one, so a verdict can
+		// be checked run by run.
+		shown := []string{"host_us_per_txn", "setup_s"}
+		if claim != "" && !slices.Contains(shown, claim) {
+			shown = append(shown, claim)
+		}
+		line := fmt.Sprintf("%s pair %2d seed %d:", workload, i, seed)
+		for _, m := range shown {
+			line += fmt.Sprintf(" %s base %.6g change %.6g;", m, b.Metrics[m].Value, c.Metrics[m].Value)
+		}
+		fmt.Println(strings.TrimSuffix(line, ";"))
 		if claim != "" {
 			if c.Failed*b.Attempted > b.Failed*c.Attempted {
 				problems = append(problems, fmt.Sprintf("%s seed %d: failed %d/%d -> %d/%d",
