@@ -656,15 +656,6 @@ func (t *Tree) descendToLevel(ctx env.Ctx, key []byte, level int) (uint64, error
 	}
 }
 
-// Delete removes key from the tree, reporting whether it was present.
-func (t *Tree) Delete(ctx env.Ctx, key []byte) (bool, error) {
-	removed, err := t.DeleteMany(ctx, [][]byte{key})
-	if err != nil {
-		return false, err
-	}
-	return removed[0], nil
-}
-
 // DeleteMany removes every key present and reports per key whether it was;
 // a key given twice is reported removed once. Keys that share a leaf go
 // together, as in InsertMany: each round descends to the leaf covering the

@@ -601,28 +601,6 @@ func decodeStartResp(raw []byte) (StartResult, error) {
 	return StartResult{TID: tid, Snap: snap, Lav: lav}, nil
 }
 
-// Fence samples the fleet's snapshot boundary (the lav) for a migration
-// cutover. One solo round trip — fences are rare control-plane events and
-// must not wait behind the grouped sender.
-func (c *Client) Fence(ctx env.Ctx) (uint64, error) {
-	raw, _, err := c.roundTrip(ctx, []byte{byte(wire.KindCMReq), byte(cmFence)})
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(raw)
-	if wire.Kind(r.Byte()) != wire.KindCMResp {
-		return 0, fmt.Errorf("commitmgr: bad fence response kind")
-	}
-	if sub := cmSub(r.Byte()); sub != cmFence {
-		return 0, fmt.Errorf("commitmgr: subtype %d is not a fence ack", sub)
-	}
-	if st := wire.Status(r.Byte()); st != wire.StatusOK {
-		return 0, fmt.Errorf("commitmgr: fence failed: %v", st)
-	}
-	lav := r.Uvarint()
-	return lav, r.Close()
-}
-
 // finished is the split protocol's one-RPC-per-outcome notification.
 func (c *Client) finished(ctx env.Ctx, tid uint64, committed bool) error {
 	w := wire.NewWriter(16)

@@ -168,9 +168,6 @@ func New(id, addr string, envr env.Full, node env.Node, tr transport.Transport, 
 	return s
 }
 
-// Addr returns the server's address.
-func (s *Server) Addr() string { return s.addr }
-
 // Sheds returns how many requests the admission gate rejected.
 func (s *Server) Sheds() uint64 { return s.gate.Sheds() }
 
@@ -192,12 +189,6 @@ func (s *Server) Stop() {
 	s.mu.Lock()
 	s.stopped = true
 	s.mu.Unlock()
-}
-
-// Restore rebuilds state from the peers' published snapshots — how a fresh
-// commit manager takes over after a failure (§4.4.3).
-func (s *Server) Restore(ctx env.Ctx) {
-	s.pullPeers(ctx)
 }
 
 // Resume adopts the state this manager's own previous incarnation published
@@ -301,14 +292,6 @@ func (s *Server) handleCM(ctx env.Ctx, raw []byte) []byte {
 		s.finish(tid, committed)
 		s.observe("finish", ctx.Now()-began)
 		return ackResp(wire.StatusOK)
-	case cmFence:
-		w := wire.NewWriter(16)
-		w.Byte(byte(wire.KindCMResp))
-		w.Byte(byte(cmFence))
-		w.Byte(byte(wire.StatusOK))
-		w.Uvarint(s.Lav())
-		s.observe("fence", ctx.Now()-began)
-		return w.Bytes()
 	}
 	return ackResp(wire.StatusError)
 }
@@ -975,9 +958,4 @@ const (
 	// cmStartGroup is the coalesced protocol: starts, finish notifications
 	// and a (possibly delta-encoded) descriptor in one round trip.
 	cmStartGroup
-	// cmFence samples the snapshot boundary (the lav) for a migration
-	// cutover: every transaction that started before the fence call holds a
-	// snapshot at or above the returned version, so the storage manager can
-	// record what the cutover serialized against.
-	cmFence
 )

@@ -47,12 +47,6 @@ func (t *Txn) ScanPK(ctx env.Ctx, table *TableInfo, loVals, hiVals []relational.
 	return t.scanOne(ctx, RangeRead(table, loVals, hiVals), fn)
 }
 
-// FirstPK returns the lowest-keyed row visible in [loVals, hiVals): a read
-// round of one FirstRead.
-func (t *Txn) FirstPK(ctx env.Ctx, table *TableInfo, loVals, hiVals []relational.Value) (rid uint64, row relational.Row, found bool, err error) {
-	return t.readOne(ctx, FirstRead(table, loVals, hiVals))
-}
-
 // keyRange encodes a scan's bounds; nil hiVals leaves the range unbounded.
 func keyRange(loVals, hiVals []relational.Value) (lo, hi []byte) {
 	lo = relational.EncodeKey(loVals...)

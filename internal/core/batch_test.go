@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tell/internal/core"
@@ -178,5 +179,58 @@ func TestScanTableFiltered(t *testing.T) {
 			t.Fatalf("snapshot violated: pushdown saw %d rows", n)
 		}
 		mustCommit(t, ctx, old)
+	})
+}
+
+// TestPushdownSourceMatchesFullScan checks that the rows a storage-side
+// selection and projection return equal, in order and with their record
+// ids, what a full scan filtered and projected on the PN yields.
+func TestPushdownSourceMatchesFullScan(t *testing.T) {
+	e := newEngine(t, 1, core.TB)
+	e.run(t, func(ctx env.Ctx) {
+		pn := e.PNs[0]
+		table, _ := pn.Catalog().CreateTable(ctx, accountsSchema())
+		setup, _ := pn.Begin(ctx)
+		for i := int64(0); i < 40; i++ {
+			owner := "low"
+			if i >= 20 {
+				owner = "high"
+			}
+			setup.Insert(ctx, table, account(i, owner, 100+i))
+		}
+		mustCommit(t, ctx, setup)
+
+		txn, _ := pn.Begin(ctx)
+		// Selection on balance >= 130, projection to (balance, id).
+		pred := &store.Predicate{Col: 2, Op: store.CmpGE, Val: relational.I64(130)}
+		type hit struct {
+			rid uint64
+			row relational.Row
+		}
+		var pushed []hit
+		err := txn.ScanTableFiltered(ctx, table, pred, []int{2, 0},
+			func(rid uint64, row relational.Row) bool {
+				pushed = append(pushed, hit{rid, row})
+				return true
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pushed) != 10 {
+			t.Fatalf("matched %d rows, want 10", len(pushed))
+		}
+		var reference []hit
+		if err := txn.ScanTable(ctx, table, func(rid uint64, row relational.Row) bool {
+			if row[2].I >= 130 {
+				reference = append(reference, hit{rid, relational.Row{row[2], row[0]}})
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pushed, reference) {
+			t.Fatalf("push-down rows differ from the filtered full scan:\n pushed %v\n    ref %v", pushed, reference)
+		}
+		mustCommit(t, ctx, txn)
 	})
 }

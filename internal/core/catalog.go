@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"tell/internal/btree"
-	"tell/internal/det"
 	"tell/internal/env"
 	"tell/internal/relational"
 	"tell/internal/sanitize"
@@ -129,11 +128,4 @@ func (c *Catalog) open(s *relational.TableSchema) *TableInfo {
 	}
 	c.tables[s.Name] = t
 	return t
-}
-
-// Tables lists the names this catalog has opened, in sorted order.
-func (c *Catalog) Tables() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return det.Keys(c.tables)
 }

@@ -129,9 +129,6 @@ func (pn *PN) Begin(ctx env.Ctx) (*Txn, error) {
 // TID returns the transaction id (also the version number of its writes).
 func (t *Txn) TID() uint64 { return t.tid }
 
-// Snapshot returns the transaction's snapshot descriptor.
-func (t *Txn) Snapshot() *mvcc.Snapshot { return t.snap }
-
 // State returns the life-cycle state.
 func (t *Txn) State() TxnState { return t.state }
 

@@ -18,7 +18,7 @@ type simEnv struct {
 }
 
 // NewSim wraps kernel k as an environment. The caller drives the simulation
-// by calling k.Run (or RunFor/RunUntil) after spawning activities.
+// by calling k.Run (or RunUntil) after spawning activities.
 func NewSim(k *sim.Kernel) Full { return &simEnv{k: k} }
 
 func (e *simEnv) SetTracer(r *trace.Recorder) { e.tr = r }

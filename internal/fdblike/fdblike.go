@@ -144,13 +144,6 @@ func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node, sequ
 	return e
 }
 
-// Conflicts returns the number of optimistic aborts.
-func (e *Engine) Conflicts() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.conflictCnt
-}
-
 // run schedules one transaction on a proc worker.
 func (e *Engine) run(ctx env.Ctx, t tpcc.TxType, input any) (bool, error) {
 	e.mu.Lock()

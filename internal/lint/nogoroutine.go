@@ -9,7 +9,7 @@ import (
 // strict one-process-at-a-time hand-off, so its interleaving with simulated
 // activities differs run to run. Concurrency in engine code must spawn
 // through env.Node.Go / env.Ctx.Go (which the simulated environment routes
-// to sim.Kernel.Go) so the kernel owns the schedule.
+// to sim.Kernel.Spawn) so the kernel owns the schedule.
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid raw go statements in sim-executed packages; spawn activities via " +

@@ -167,22 +167,6 @@ func (h *Histogram) String() string {
 		float64(h.Percentile(99.9))/float64(time.Millisecond))
 }
 
-// Counter is a monotonically increasing event count. It carries no time
-// component; rates come from pairing its value with an externally measured
-// interval via PerSecond or PerMinute.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
 // PerMinute converts a count observed over elapsed into a per-minute rate —
 // the TpmC convention.
 func PerMinute(count uint64, elapsed time.Duration) float64 {

@@ -219,12 +219,3 @@ func TestSummary(t *testing.T) {
 		t.Fatal("missing name should be nil")
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("value = %d", c.Value())
-	}
-}

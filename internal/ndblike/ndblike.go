@@ -88,7 +88,6 @@ type Engine struct {
 	mu       sync.Mutex
 
 	lockWaits uint64
-	timeouts  uint64
 }
 
 // sqlNode is one SQL-node worker pool.
@@ -156,20 +155,6 @@ type job struct {
 	done env.Future
 	sc   trace.Scope
 	enq  time.Duration
-}
-
-// LockWaits returns how many lock acquisitions had to wait.
-func (e *Engine) LockWaits() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lockWaits
-}
-
-// Timeouts returns how many transactions aborted on lock-wait timeout.
-func (e *Engine) Timeouts() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.timeouts
 }
 
 // dataNodeOf maps a row key to its owning data node by warehouse.
@@ -266,9 +251,6 @@ func (e *Engine) transact(ctx env.Ctx, t tpcc.TxType, input any) (bool, error) {
 			e.mu.Unlock()
 		}
 		if !ok {
-			e.mu.Lock()
-			e.timeouts++
-			e.mu.Unlock()
 			abort()
 			return false, nil
 		}

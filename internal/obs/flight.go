@@ -247,9 +247,3 @@ func (c *Capture) Hash() uint64 {
 	}
 	return h.Sum64()
 }
-
-// WriteChromeTrace renders one capture's events as Chrome trace_event
-// JSON (Perfetto-loadable) — the per-outlier export.
-func (c *Capture) WriteChromeTrace(w io.Writer) error {
-	return trace.WriteChromeTraceEvents(w, c.Events)
-}

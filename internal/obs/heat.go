@@ -178,20 +178,6 @@ func (p *Pipeline) HeatRows() []HeatRow {
 	return out
 }
 
-// HottestRange returns the row with the highest recent operation count
-// (ties broken by lower node then range id, the sort order), plus false
-// when there is no heat at all.
-func HottestRange(rows []HeatRow) (HeatRow, bool) {
-	var best HeatRow
-	found := false
-	for _, r := range rows {
-		if !found || r.Recent.Ops() > best.Recent.Ops() {
-			best, found = r, true
-		}
-	}
-	return best, found
-}
-
 // SortHeatByRecent orders rows hottest-first (recent ops descending, then
 // node, then range) — the presentation order for `tellcli top`.
 func SortHeatByRecent(rows []HeatRow) {

@@ -141,17 +141,6 @@ func New(cfg Config, now func() time.Duration) *Pipeline {
 	return p
 }
 
-// Enabled reports whether the pipeline is live.
-func (p *Pipeline) Enabled() bool { return p != nil }
-
-// Window returns the configured window width (zero when disabled).
-func (p *Pipeline) Window() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.cfg.Window
-}
-
 // Now reads the pipeline's clock (zero when disabled).
 func (p *Pipeline) Now() time.Duration {
 	if p == nil || p.now == nil {
@@ -195,17 +184,6 @@ func (p *Pipeline) ObserveClass(at time.Duration, node, class string, d time.Dur
 	}
 	p.mu.Lock()
 	p.histLocked(at, node, "lat/"+class, nil).Record(d)
-	p.mu.Unlock()
-}
-
-// Count adds delta to a windowed counter-rate series (node, metric) at
-// time at.
-func (p *Pipeline) Count(at time.Duration, node, metric string, delta int64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.countLocked(at, node, metric, delta)
 	p.mu.Unlock()
 }
 

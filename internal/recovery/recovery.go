@@ -80,20 +80,6 @@ func (m *Manager) Watch(addr string) {
 	m.pns[addr] = false
 }
 
-// Recoveries returns how many PN recoveries completed.
-func (m *Manager) Recoveries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recoveries
-}
-
-// RolledBack returns the total number of transactions reverted.
-func (m *Manager) RolledBack() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rolledBack
-}
-
 // Start launches the failure detector loop.
 func (m *Manager) Start() {
 	m.node.Go("pn-failure-detector", m.monitor)

@@ -147,16 +147,3 @@ func (s *BreakerSet) Failure(addr string, now time.Duration) {
 	}
 	s.get(addr).Failure(now)
 }
-
-// Trip force-opens addr's breaker (used when the failure detector declares
-// an endpoint dead out-of-band).
-func (s *BreakerSet) Trip(addr string, now time.Duration) {
-	if s == nil {
-		return
-	}
-	b := s.get(addr)
-	b.mu.Lock()
-	b.fails = b.Threshold
-	b.openUntil = now + b.Cooldown
-	b.mu.Unlock()
-}

@@ -28,14 +28,3 @@ func (m *RWMutex) SetName(string) {}
 // Inversions returns the lock-order inversions observed so far (always nil
 // without telldebug).
 func Inversions() []Inversion { return nil }
-
-// LongHolds returns the overlong critical sections observed so far (always
-// nil without telldebug).
-func LongHolds() []LongHold { return nil }
-
-// Reset clears recorded inversions, long holds and the acquisition graph.
-func Reset() {}
-
-// SetLongHoldThreshold sets the wall-clock hold time above which an Unlock
-// records a LongHold. No-op without telldebug.
-func SetLongHoldThreshold(millis int64) {}

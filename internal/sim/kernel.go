@@ -77,16 +77,12 @@ type firerFunc func()
 
 func (f firerFunc) Fire() { f() }
 
-// Runner is the body of a process. Kernel.Go adapts a plain function;
-// callers that spawn at a high rate implement it on a value they already
-// hold so that a spawn allocates nothing.
+// Runner is the body of a process. Callers that spawn at a high rate
+// implement it on a value they already hold so that a spawn allocates
+// nothing.
 type Runner interface {
 	Run(p *Proc)
 }
-
-type runnerFunc func(p *Proc)
-
-func (f runnerFunc) Run(p *Proc) { f(p) }
 
 // yieldKind reports why a process handed control back to the kernel.
 type yieldKind int
@@ -143,9 +139,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// Err returns the first process panic observed, if any.
-func (k *Kernel) Err() error { return k.err }
 
 // Procs returns the number of live (running or blocked) processes.
 func (k *Kernel) Procs() int { return len(k.procs) }
@@ -254,13 +247,9 @@ func (k *Kernel) AfterFire(d time.Duration, f Firer) {
 // wakeNow schedules p to resume at the current virtual time.
 func (k *Kernel) wakeNow(p *Proc) { k.schedule(k.now).proc = p }
 
-// Go spawns a new process that begins executing at the current virtual time.
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	return k.Spawn("", name, runnerFunc(fn))
-}
-
-// Spawn is Go for a Runner. The process is named scope/name (name alone when
-// scope is empty); the two parts are only joined when somebody asks.
+// Spawn starts a process running r at the current virtual time. The process
+// is named scope/name (name alone when scope is empty); the two parts are
+// only joined when somebody asks.
 func (k *Kernel) Spawn(scope, name string, r Runner) *Proc {
 	var p *Proc
 	if n := len(k.idle); n > 0 {
@@ -315,9 +304,6 @@ const maxTime = Time(1<<62 - 1)
 // Run executes events until the event queue is empty, Stop is called, or a
 // process panics. It returns the first process panic, if any.
 func (k *Kernel) Run() error { return k.RunUntil(maxTime) }
-
-// RunFor runs the simulation for d virtual time from now.
-func (k *Kernel) RunFor(d time.Duration) error { return k.RunUntil(k.now.Add(d)) }
 
 // RunUntil executes events with timestamps at or before deadline. When it
 // returns, virtual time equals the deadline (unless the event queue drained
@@ -461,6 +447,3 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.k.schedule(p.k.now.Add(d)).proc = p
 	p.block()
 }
-
-// Go spawns a sibling process.
-func (p *Proc) Go(name string, fn func(p *Proc)) *Proc { return p.k.Go(name, fn) }

@@ -217,10 +217,6 @@ type Future struct {
 	more  []*Proc // those that arrived while first was waiting, in order
 }
 
-// NewFuture returns an unset future. A future needs no kernel of its own: it
-// reaches the kernel through the processes that wait on it.
-func NewFuture(*Kernel) *Future { return new(Future) }
-
 // IsSet reports whether the future has a value.
 func (f *Future) IsSet() bool { return f.set }
 

@@ -123,18 +123,6 @@ func decodeMetaResp(b []byte) (metaSub, *wire.Reader, error) {
 	return metaSub(r.Byte()), r, r.Err()
 }
 
-// decodeAckStatus parses a metaAck response.
-func decodeAckStatus(b []byte) (wire.Status, error) {
-	sub, r, err := decodeMetaResp(b)
-	if err != nil {
-		return 0, err
-	}
-	if sub != metaAck {
-		return 0, fmt.Errorf("store: meta subtype %d is not an ack", sub)
-	}
-	return wire.Status(r.Byte()), r.Err()
-}
-
 // decodeMapResp parses a metaMap response.
 func decodeMapResp(b []byte) (*PartitionMap, error) {
 	sub, r, err := decodeMetaResp(b)

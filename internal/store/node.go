@@ -173,13 +173,6 @@ func (sn *Node) OpStats() (gets, writes, scans uint64) {
 	return sn.nGets, sn.nWrites, sn.nScans
 }
 
-// Keys returns the number of stored cells (for tests and capacity checks).
-func (sn *Node) Keys() int {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.mt.len()
-}
-
 // Start registers the node's request handler with the transport.
 func (sn *Node) Start() error {
 	return sn.tr.Listen(sn.addr, sn.node, sn.handle)

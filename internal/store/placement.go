@@ -748,17 +748,6 @@ func (m *Manager) plan(loads []nodeLoad, pol RebalancePolicy) *migPlan {
 // the map changed between planning and execution.
 var ErrUnsplittable = errors.New("hash span is a single point; cannot split further")
 
-// SplitPartition splits range pid: a map-only change — both halves stay on
-// the same master and replicas, which already hold the data. The split
-// point is the master's median live-key hash when it can report one (so a
-// single split separates half the stored keys even when they cluster in a
-// narrow hash band), the hash midpoint otherwise. Returns the new range's
-// id.
-func (m *Manager) SplitPartition(ctx env.Ctx, pid uint64) (uint64, error) {
-	median, haveMedian := m.splitMedian(ctx, pid)
-	return m.splitPartition(ctx, pid, median, haveMedian)
-}
-
 // splitMedian asks pid's master for the median live-key hash — the
 // data-aware split point. ok is false when the master is unknown,
 // unreachable, or reports that no point separates the range's keys (zero

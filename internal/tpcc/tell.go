@@ -31,9 +31,6 @@ func NewTellEngine(ctx env.Ctx, pn *core.PN) (*TellEngine, error) {
 	return e, nil
 }
 
-// PN returns the underlying processing node.
-func (e *TellEngine) PN() *core.PN { return e.pn }
-
 // run executes fn as one transaction on a PN worker, translating conflicts
 // into committed=false.
 func (e *TellEngine) run(ctx env.Ctx, fn func(wctx env.Ctx, txn *core.Txn) error) (bool, error) {

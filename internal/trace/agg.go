@@ -70,18 +70,6 @@ func (a *TxnAgg) Add(c Comp, d time.Duration) {
 	a.D[c] += d
 }
 
-// Sum returns the total attributed time.
-func (a *TxnAgg) Sum() time.Duration {
-	if a == nil {
-		return 0
-	}
-	var s time.Duration
-	for _, d := range a.D {
-		s += d
-	}
-	return s
-}
-
 // Breakdown is the per-transaction-type aggregate of TxnAgg results.
 type Breakdown struct {
 	Type   string
@@ -115,64 +103,6 @@ type NodeSeries struct {
 	Node   string
 	Cores  int // number of cores seen (utilization series only)
 	Points []SeriesPoint
-}
-
-// NodeUtilization aggregates CoreRun intervals into per-node busy
-// fractions over fixed windows. Nodes are sorted by name; every node's
-// series covers the same [0, horizon) range.
-func (r *Recorder) NodeUtilization(window time.Duration) []NodeSeries {
-	if r == nil || window <= 0 {
-		return nil
-	}
-	events := r.Events()
-	type nodeAcc struct {
-		cores int
-		busy  map[int]time.Duration // window index -> busy time
-	}
-	accs := make(map[string]*nodeAcc)
-	var horizon time.Duration
-	for _, e := range events {
-		if e.Kind != KindCoreRun {
-			continue
-		}
-		a := accs[e.Node]
-		if a == nil {
-			a = &nodeAcc{busy: make(map[int]time.Duration)}
-			accs[e.Node] = a
-		}
-		if int(e.Arg1)+1 > a.cores {
-			a.cores = int(e.Arg1) + 1
-		}
-		end := e.At + e.Dur
-		if end > horizon {
-			horizon = end
-		}
-		// Spread the busy interval over the windows it crosses.
-		for t := e.At; t < end; {
-			wi := int(t / window)
-			wEnd := time.Duration(wi+1) * window
-			if wEnd > end {
-				wEnd = end
-			}
-			a.busy[wi] += wEnd - t
-			t = wEnd
-		}
-	}
-	nWindows := int((horizon + window - 1) / window)
-	out := make([]NodeSeries, 0, len(accs))
-	for _, node := range det.Keys(accs) {
-		a := accs[node]
-		s := NodeSeries{Node: node, Cores: a.cores}
-		for wi := 0; wi < nWindows; wi++ {
-			denom := float64(window) * float64(a.cores)
-			s.Points = append(s.Points, SeriesPoint{
-				At: time.Duration(wi) * window,
-				V:  float64(a.busy[wi]) / denom,
-			})
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // MeanUtilization returns each node's overall busy fraction over [0, end of

@@ -18,9 +18,6 @@ type LocalNet struct {
 	mu   sanitize.RWMutex
 	eps  map[string]*localEndpoint
 	down map[string]bool
-
-	statsMu sanitize.Mutex
-	stats   Stats
 }
 
 type localEndpoint struct {
@@ -32,22 +29,7 @@ type localEndpoint struct {
 func NewLocalNet() *LocalNet {
 	n := &LocalNet{eps: make(map[string]*localEndpoint), down: make(map[string]bool)}
 	n.mu.SetName("transport.LocalNet.mu")
-	n.statsMu.SetName("transport.LocalNet.statsMu")
 	return n
-}
-
-// SetDown marks addr as failed or recovered.
-func (n *LocalNet) SetDown(addr string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.down[addr] = down
-}
-
-// Stats returns cumulative traffic counters.
-func (n *LocalNet) Stats() Stats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.stats
 }
 
 // Listen registers h as the server for addr on the given node.
@@ -88,11 +70,6 @@ func (c *localConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 	isDown := n.down[c.dst]
 	n.mu.RUnlock()
 
-	n.statsMu.Lock()
-	n.stats.Requests++
-	n.stats.BytesSent += uint64(len(req))
-	n.statsMu.Unlock()
-
 	if !ok || isDown {
 		return nil, ErrUnreachable
 	}
@@ -128,9 +105,6 @@ func (c *localConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 		// remote service.
 		sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
 	}
-	n.statsMu.Lock()
-	n.stats.BytesRecv += uint64(len(resp))
-	n.statsMu.Unlock()
 	return resp, nil
 }
 

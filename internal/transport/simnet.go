@@ -73,9 +73,6 @@ func NewSimNet(k *sim.Kernel, class NetworkClass) *SimNet {
 // wait before failing (default 50ms of virtual time).
 func (n *SimNet) SetTimeout(d time.Duration) { n.timeout = d }
 
-// Class returns the configured network class.
-func (n *SimNet) Class() NetworkClass { return n.class }
-
 // Stats returns cumulative traffic counters.
 func (n *SimNet) Stats() Stats { return n.stats }
 

@@ -34,24 +34,13 @@ type TCPNet struct {
 
 	mu        sanitize.Mutex
 	listeners []net.Listener
-
-	statsMu sanitize.Mutex
-	stats   Stats
 }
 
 // NewTCPNet returns a TCP transport.
 func NewTCPNet() *TCPNet {
 	t := &TCPNet{Timeout: 10 * time.Second}
 	t.mu.SetName("transport.TCPNet.mu")
-	t.statsMu.SetName("transport.TCPNet.statsMu")
 	return t
-}
-
-// Stats returns cumulative traffic counters.
-func (t *TCPNet) Stats() Stats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.stats
 }
 
 // Close shuts down all listeners.
@@ -124,16 +113,6 @@ func (t *TCPNet) Listen(addr string, node env.Node, h Handler) error {
 	return nil
 }
 
-// Addr returns the bound address of the i-th listener (useful with ":0").
-func (t *TCPNet) Addr(i int) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.listeners) {
-		return ""
-	}
-	return t.listeners[i].Addr().String()
-}
-
 func (t *TCPNet) acceptLoop(l net.Listener, node env.Node, h Handler) {
 	for {
 		c, err := l.Accept()
@@ -156,10 +135,6 @@ func (t *TCPNet) serveConn(c net.Conn, node env.Node, h Handler) {
 		if err != nil {
 			return
 		}
-		t.statsMu.Lock()
-		t.stats.Requests++
-		t.stats.BytesRecv += uint64(len(payload))
-		t.statsMu.Unlock()
 		node.Go("tcp-handler", func(ctx env.Ctx) {
 			// Mirror the simnet/localnet handler instrumentation: receive
 			// the request on the flow the client stamped into the frame,
@@ -287,10 +262,6 @@ func (c *tcpConn) RoundTrip(ctx env.Ctx, req []byte) ([]byte, error) {
 	ch := make(chan tcpReply, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
-
-	c.net.statsMu.Lock()
-	c.net.stats.BytesSent += uint64(len(req))
-	c.net.statsMu.Unlock()
 
 	sc := ctx.Trace()
 	var srcName string

@@ -50,7 +50,6 @@ type Transport interface {
 
 // Errors shared by all transports.
 var (
-	ErrUnknownAddr = errors.New("transport: unknown address")
 	ErrTimeout     = errors.New("transport: request timed out")
 	ErrClosed      = errors.New("transport: connection closed")
 	ErrUnreachable = errors.New("transport: endpoint unreachable")
@@ -90,14 +89,14 @@ func (c NetworkClass) TransferTime(n int) time.Duration {
 	return d
 }
 
-// Stats aggregates traffic counters for a transport. All transports count
-// requests and bytes so experiments can report network utilisation (§6.6).
+// Stats aggregates the simulated network's traffic counters so experiments
+// can report network utilisation (§6.6).
 type Stats struct {
 	Requests  uint64
 	BytesSent uint64
 	BytesRecv uint64
 	// Dropped and Duplicated count message legs affected by an installed
-	// fault injector (simnet only).
+	// fault injector.
 	Dropped    uint64
 	Duplicated uint64
 }

@@ -122,13 +122,6 @@ func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node) *Eng
 	return e
 }
 
-// Stats returns (single-partition, multi-partition) transaction counts.
-func (e *Engine) Stats() (single, multi uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.singleTx, e.multiTx
-}
-
 // partitionOf maps a warehouse to its owning partition.
 func (e *Engine) partitionOf(w int) *partition {
 	return e.parts[w%len(e.parts)]

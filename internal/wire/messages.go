@@ -434,15 +434,6 @@ func (m *StoreResponse) encodedLen() int {
 	return n
 }
 
-// DecodeStoreResponse parses an encoded StoreResponse.
-func DecodeStoreResponse(b []byte) (*StoreResponse, error) {
-	m := new(StoreResponse)
-	if err := m.DecodeFrom(b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // DecodeFrom parses b into m, reusing m's Results slice when it has
 // capacity. The store client decodes one response per batch round trip into
 // a long-lived struct this way, which removes the per-batch Results
