@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke bench bench-ab assembly-gate golden-trace obs-golden ci
+.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet fmt-check lint lint-determinism sanitize bench-smoke bench bench-ab assembly-gate golden-trace obs-golden ci
 
 test:
 	$(GO) test ./...
@@ -39,6 +39,11 @@ fuzz-short:
 vet:
 	$(GO) vet ./...
 
+# gofmt must have nothing to rewrite anywhere in the tree, bench/ and the
+# lint fixtures under testdata/ included.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
 # tellvet: the determinism-and-concurrency analyzer suite (see DESIGN.md
 # §6 and §9). Exits non-zero on any unsuppressed finding.
 lint:
@@ -56,7 +61,7 @@ lint-determinism:
 
 # Runtime sanitizer smoke: the telldebug build tag swaps every engine mutex
 # for the instrumented internal/sanitize variant (acquisition-order graph,
-# inversion detection, long-hold watchdog), and each suite's TestMain fails
+# inversion detection, recursive-lock panic), and each suite's TestMain fails
 # the package on leaked goroutines or recorded inversions. The bank chaos
 # cell is the densest cross-node locking path, so it runs under the race
 # detector with the sanitizers armed.
@@ -134,6 +139,7 @@ obs-golden:
 # target, so this is the one list of CI steps.
 ci:
 	$(GO) build ./...
+	$(MAKE) fmt-check
 	$(GO) test ./...
 	$(GO) test -C bench .
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim ./internal/transport \

@@ -26,13 +26,11 @@ type Tree struct {
 	name string
 	sc   *store.Client
 
-	// MaxKeys is the fanout bound per node.
+	// MaxKeys is the fanout bound per node: Fanout, or smaller in tests
+	// that want splits from few keys.
 	MaxKeys int
-	// CacheInner toggles the inner-node cache (§5.3.1). Disabled only by
-	// the caching ablation benchmark.
+	// CacheInner toggles the inner-node cache (§5.3.1).
 	CacheInner bool
-	// Retries bounds optimistic retry loops.
-	Retries int
 
 	mu        sanitize.Mutex
 	cache     map[uint64]*node
@@ -43,6 +41,13 @@ type Tree struct {
 	cacheHits uint64
 }
 
+// Fanout is the node capacity of every tree the engine builds: New's
+// MaxKeys and the bulk loader's node size.
+const Fanout = 64
+
+// retries bounds optimistic retry loops.
+const retries = 64
+
 // idRangeSize is how many node ids one counter bump reserves.
 const idRangeSize = 64
 
@@ -52,9 +57,8 @@ func New(name string, sc *store.Client) *Tree {
 	t := &Tree{
 		name:       name,
 		sc:         sc,
-		MaxKeys:    64,
+		MaxKeys:    Fanout,
 		CacheInner: true,
-		Retries:    64,
 		cache:      make(map[uint64]*node),
 	}
 	t.mu.SetName("btree.Tree.mu")
@@ -195,7 +199,7 @@ type pathEntry struct {
 // If moves happened at leaf level, the cached parent is refreshed per
 // §5.3.1's consistency rule.
 func (t *Tree) descend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
-	for attempt := 0; attempt < t.Retries; attempt++ {
+	for attempt := 0; attempt < retries; attempt++ {
 		path, err := t.tryDescend(ctx, key)
 		if err == nil {
 			return path, nil
@@ -309,7 +313,7 @@ func (t *Tree) InsertMany(ctx env.Ctx, keys, vals [][]byte) (existed []bool, err
 // byLeaf hands round the indexes of keys in key order until every key is
 // settled. Each call settles the pending keys that share the first one's
 // leaf and reports how many, or reports that its leaf write raced with
-// another writer; a race retries the same keys, up to Retries times in a
+// another writer; a race retries the same keys, up to retries times in a
 // row.
 func (t *Tree) byLeaf(keys [][]byte, round func(pending []int) (n int, ok bool, err error)) error {
 	order := make([]int, len(keys))
@@ -326,7 +330,7 @@ func (t *Tree) byLeaf(keys [][]byte, round func(pending []int) (n int, ok bool, 
 			p, raced = p+n, 0
 			continue
 		}
-		if raced++; raced == t.Retries {
+		if raced++; raced == retries {
 			return ErrRetriesExhausted
 		}
 	}
@@ -433,7 +437,7 @@ func (t *Tree) insertSeparator(ctx env.Ctx, path []pathEntry, pathIdx int, sep [
 	}
 	parentID := path[pathIdx].n.id
 	level := path[pathIdx].n.level
-	for attempt := 0; attempt < t.Retries; attempt++ {
+	for attempt := 0; attempt < retries; attempt++ {
 		raw, stamp, err := t.sc.Get(ctx, nodeKey(t.name, parentID))
 		if err == store.ErrNotFound {
 			// Parent vanished (e.g. superseded root): re-descend to
@@ -545,7 +549,7 @@ func (t *Tree) growRoot(ctx env.Ctx, sep []byte, leftID, rightID uint64) error {
 		return err
 	}
 	parentLevel := leftNode.level + 1
-	for attempt := 0; attempt < t.Retries; attempt++ {
+	for attempt := 0; attempt < retries; attempt++ {
 		raw, stamp, err := t.sc.Get(ctx, rootKey(t.name))
 		if err != nil {
 			return err
@@ -709,7 +713,7 @@ func (t *Tree) deleteRound(ctx env.Ctx, keys [][]byte, pending []int, removed []
 
 // Update replaces the value under key, reporting whether it was present.
 func (t *Tree) Update(ctx env.Ctx, key, val []byte) (bool, error) {
-	for attempt := 0; attempt < t.Retries; attempt++ {
+	for attempt := 0; attempt < retries; attempt++ {
 		path, err := t.descend(ctx, key)
 		if err != nil {
 			return false, err

@@ -28,7 +28,7 @@ var ErrClosed = errors.New("commitmgr: client closed")
 //
 // By default the client coalesces the commit path: all Start and
 // Committed/Aborted calls funnel through one sender activity that packs
-// whatever is pending — up to MaxGroup starts plus the buffered finish
+// whatever is pending — up to maxGroup starts plus the buffered finish
 // notifications — into a single grouped round trip sharing one descriptor
 // fetch, delta-encoded against the last descriptor acknowledged. While one
 // request is in flight the next group accumulates, so under load the
@@ -42,22 +42,11 @@ type Client struct {
 	envr env.Full
 	node env.Node
 
-	// Retries per request before giving up (after rotating through the
-	// whole fleet each attempt).
-	Retries int
 	// Coalesce enables the grouped protocol (see type comment).
 	Coalesce bool
 	// DeltaSnapshots lets the manager send descriptor deltas instead of
 	// full bitsets. Only meaningful with Coalesce.
 	DeltaSnapshots bool
-	// MaxGroup caps how many concurrent Start calls share one request.
-	MaxGroup int
-	// FinFlush is how long a group holding only finish notifications waits
-	// for a Start to piggyback on before going out alone. Zero sends
-	// fin-only groups immediately (lowest commit latency, one more
-	// message); at the default each finish can wait a few network round
-	// trips for company.
-	FinFlush time.Duration
 	// Resil drives grouped-request retries: capped backoff with seeded
 	// jitter, resending the identical bytes each attempt so the manager's
 	// dedup window can replay rather than re-execute. No circuit breaker —
@@ -87,6 +76,18 @@ type Client struct {
 	nStarts  uint64
 }
 
+const (
+	// soloRetries is how many times the split protocol retries a start
+	// whose response did not decode (each try rotates through the fleet).
+	soloRetries = 2
+	// maxGroup caps how many concurrent Start calls share one request.
+	maxGroup = 16
+	// finFlush is how long a group holding only finish notifications waits
+	// for a Start to piggyback on before going out alone: each finish can
+	// wait a few network round trips for company.
+	finFlush = 100 * time.Microsecond
+)
+
 // cmClientInstances numbers client instances for token identity, per
 // environment: ids go into wire idempotency tokens, so a process-global
 // counter would make one run's message bytes (and its simulated timing)
@@ -110,11 +111,8 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, addrs []str
 	c := &Client{
 		envr:           envr,
 		node:           node,
-		Retries:        2,
 		Coalesce:       true,
 		DeltaSnapshots: true,
-		MaxGroup:       16,
-		FinFlush:       100 * time.Microsecond,
 		Resil:          resil.NewRetrier(),
 		addrs:          append([]string(nil), addrs...),
 		conns:          transport.NewConnSet(tr, node),
@@ -180,7 +178,7 @@ func (c *Client) roundTrip(ctx env.Ctx, req []byte) ([]byte, transport.Conn, err
 		if err != nil {
 			continue
 		}
-		//lint:allow ctxdeadline fleet-rotation primitive: grouped callers wrap it in Resil.Do(ClassCM); the solo path bounds retries with c.Retries
+		//lint:allow ctxdeadline fleet-rotation primitive: grouped callers wrap it in Resil.Do(ClassCM); the solo path bounds retries with soloRetries
 		resp, err := conn.RoundTrip(ctx, req)
 		if err != nil {
 			continue
@@ -366,13 +364,9 @@ func (c *Client) senderLoop(ctx env.Ctx) {
 }
 
 // collectGroup greedily drains the queue into one group, starting from
-// first. A group holding only finish notifications lingers up to FinFlush
+// first. A group holding only finish notifications lingers up to finFlush
 // for a Start to share the round trip with.
 func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fins []*finWaiter) {
-	max := c.MaxGroup
-	if max < 1 {
-		max = 1
-	}
 	add := func(v any) {
 		switch w := v.(type) {
 		case *startWaiter:
@@ -383,7 +377,7 @@ func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fi
 	}
 	add(first)
 	drain := func() {
-		for len(starts) < max && len(fins) < maxGroupFins {
+		for len(starts) < maxGroup && len(fins) < maxGroupFins {
 			v, ok := c.startQ.TryGet()
 			if !ok {
 				return
@@ -392,8 +386,8 @@ func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fi
 		}
 	}
 	drain()
-	if len(starts) == 0 && c.FinFlush > 0 {
-		deadline := ctx.Now() + c.FinFlush
+	if len(starts) == 0 {
+		deadline := ctx.Now() + finFlush
 		for len(starts) == 0 && len(fins) < maxGroupFins {
 			rem := deadline - ctx.Now()
 			if rem <= 0 {
@@ -572,7 +566,7 @@ func (c *Client) startSolo(ctx env.Ctx) (StartResult, error) {
 			c.mu.Unlock()
 			return res, nil
 		}
-		if attempt >= c.Retries {
+		if attempt >= soloRetries {
 			return StartResult{}, err
 		}
 		ctx.Sleep(time.Millisecond)

@@ -16,7 +16,7 @@ import (
 // finished) with a fraction of one.
 
 // Bounds on untrusted grouped requests; a legitimate client stays far below
-// both (its window is MaxGroup starts and maxGroupFins pending finishes).
+// both (its window is maxGroup starts and maxGroupFins pending finishes).
 const (
 	maxGroupCount = 4096
 	maxGroupFins  = 4096

@@ -95,12 +95,6 @@ type Server struct {
 	// state: losing it merely forces a full retransmit.
 	clients map[string]*clientDescState
 
-	// ActiveTTL expires transactions that never reported an outcome (a
-	// processing node that died before writing its first log entry, so
-	// recovery cannot see it). It must exceed any plausible transaction
-	// duration plus failure-detection time; expired tids count as
-	// aborted. Such a transaction wrote nothing, so this is safe.
-	ActiveTTL time.Duration
 	// StalePeerTicks drops a peer's published lav after this many sync
 	// ticks without change (the peer is presumed dead).
 	StalePeerTicks int
@@ -116,7 +110,7 @@ type Server struct {
 
 	// dedup is the exactly-once window for grouped starts: a retried
 	// StartGroupReq replays its cached response instead of allocating a
-	// second batch of tids (which would pin the lav until ActiveTTL).
+	// second batch of tids (which would pin the lav until activeTTL).
 	dedup *resil.Window
 	// gate is the admission controller: past the inflight bound, requests
 	// shed with StatusOverload instead of queueing without limit.
@@ -134,6 +128,13 @@ type Server struct {
 
 // SetObs attaches the telemetry pipeline. Call before Start.
 func (s *Server) SetObs(p *obs.Pipeline) { s.obs = p }
+
+// activeTTL expires transactions that never reported an outcome (a
+// processing node that died before writing its first log entry, so recovery
+// cannot see it). It must exceed any plausible transaction duration plus
+// failure-detection time; expired tids count as aborted. Such a transaction
+// wrote nothing, so this is safe.
+const activeTTL = 30 * time.Second
 
 // New creates a commit manager. id must be unique across the fleet; addr is
 // where PNs reach it. sc is its client to the shared store.
@@ -159,7 +160,6 @@ func New(id, addr string, envr env.Full, node env.Node, tr transport.Transport, 
 		clients:        make(map[string]*clientDescState),
 		dedup:          resil.NewWindow(256),
 		gate:           resil.NewGate(envr, 256, time.Millisecond),
-		ActiveTTL:      30 * time.Second,
 		StalePeerTicks: 5000,
 		RecoveryGrace:  100 * time.Millisecond,
 		RecoveryEvery:  100,
@@ -391,7 +391,7 @@ func (s *Server) handleStart(ctx env.Ctx) []byte {
 
 // startGroupDedup is the exactly-once wrapper around handleStartGroup. A
 // grouped start is NOT idempotent — re-executing allocates fresh tids (left
-// active until ActiveTTL, pinning the lav) and advances the per-client
+// active until activeTTL, pinning the lav) and advances the per-client
 // descriptor sequence — so duplicates of a completed request replay the
 // cached response byte-identically, and duplicates racing the in-flight
 // original are refused with a retryable status. Failed executions release
@@ -682,13 +682,13 @@ func (s *Server) syncLoop(ctx env.Ctx) {
 func (s *Server) closeIdleRange(ctx env.Ctx) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Expire transactions that never reported back (see ActiveTTL). The
+	// Expire transactions that never reported back (see activeTTL). The
 	// expired tids join fin in sorted order so its interval structure is
 	// identical across runs.
 	now := ctx.Now()
 	var expired []uint64
 	for tid, a := range s.active {
-		if now-a.at > s.ActiveTTL {
+		if now-a.at > activeTTL {
 			expired = append(expired, tid)
 		}
 	}

@@ -36,20 +36,15 @@ func (t *TableInfo) PKKey(row relational.Row) []byte {
 // shared store, so every PN sees the same catalog.
 type Catalog struct {
 	sc      *store.Client
-	fanout  int
 	mu      sanitize.Mutex
 	tables  map[string]*TableInfo
 	caching bool
 }
 
-// NewCatalog creates a catalog over the given store client. fanout sets the
-// B+tree node capacity; caching toggles inner-node caching on the index
-// handles.
-func NewCatalog(sc *store.Client, fanout int, caching bool) *Catalog {
-	if fanout <= 0 {
-		fanout = 64
-	}
-	c := &Catalog{sc: sc, fanout: fanout, tables: make(map[string]*TableInfo), caching: caching}
+// NewCatalog creates a catalog over the given store client. caching toggles
+// inner-node caching on the index handles.
+func NewCatalog(sc *store.Client, caching bool) *Catalog {
+	c := &Catalog{sc: sc, tables: make(map[string]*TableInfo), caching: caching}
 	c.mu.SetName("core.Catalog.mu")
 	return c
 }
@@ -118,11 +113,9 @@ func (c *Catalog) open(s *relational.TableSchema) *TableInfo {
 	}
 	t := &TableInfo{Schema: s, Sec: make(map[string]*btree.Tree)}
 	t.PK = btree.New(relational.PKIndexName(s.Name), c.sc)
-	t.PK.MaxKeys = c.fanout
 	t.PK.CacheInner = c.caching
 	for _, ix := range s.Indexes {
 		tr := btree.New(relational.SecIndexName(s.Name, ix.Name), c.sc)
-		tr.MaxKeys = c.fanout
 		tr.CacheInner = c.caching
 		t.Sec[ix.Name] = tr
 	}

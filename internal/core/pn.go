@@ -77,18 +77,12 @@ type Config struct {
 	Workers int
 	// Buffer selects the record-buffering strategy.
 	Buffer BufferStrategy
-	// SharedBufferSize caps the SB/SBVS buffer (entries).
-	SharedBufferSize int
 	// CacheUnitSize groups records per version-set entry under SBVS.
 	CacheUnitSize int
-	// Fanout is the B+tree node capacity.
-	Fanout int
 	// CacheIndexInner toggles B+tree inner-node caching (§5.3.1).
 	CacheIndexInner bool
 	// Costs is the CPU model (DefaultCosts if zero).
 	Costs Costs
-	// RidRange is how many rids one counter bump reserves per table.
-	RidRange int64
 	// SkipWriteValidation is a TEST-ONLY negative control for the
 	// history checker: commits apply updates with blind puts instead of
 	// LL/SC conditional writes and the running-conflict check of §4.1 is
@@ -104,22 +98,19 @@ func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.SharedBufferSize <= 0 {
-		c.SharedBufferSize = 1 << 18
-	}
 	if c.CacheUnitSize <= 0 {
 		c.CacheUnitSize = 10
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 64
 	}
 	if c.Costs == (Costs{}) {
 		c.Costs = DefaultCosts()
 	}
-	if c.RidRange <= 0 {
-		c.RidRange = 256
-	}
 }
+
+// sharedBufferSize caps the SB/SBVS buffer (entries).
+const sharedBufferSize = 1 << 18
+
+// ridRange is how many rids one counter bump reserves per table.
+const ridRange = 256
 
 // PN is one processing node.
 type PN struct {
@@ -160,13 +151,13 @@ func New(cfg Config, envr env.Full, node env.Node, tr transport.Transport, sc *s
 		sc:      sc,
 		cm:      cm,
 		log:     txlog.New(sc),
-		cat:     NewCatalog(sc, cfg.Fanout, cfg.CacheIndexInner),
+		cat:     NewCatalog(sc, cfg.CacheIndexInner),
 		ridNext: make(map[uint32]uint64),
 		ridEnd:  make(map[uint32]uint64),
 		jobs:    envr.NewQueue(),
 	}
 	if cfg.Buffer != TB {
-		pn.shared = newSharedBuffer(cfg.SharedBufferSize)
+		pn.shared = newSharedBuffer(sharedBufferSize)
 	}
 	pn.mu.SetName("core.PN.mu")
 	return pn
@@ -268,12 +259,12 @@ func (pn *PN) allocRid(ctx env.Ctx, tableID uint32) (uint64, error) {
 		return rid, nil
 	}
 	pn.mu.Unlock()
-	hi, err := pn.sc.CounterAdd(ctx, relational.RidCounterKey(tableID), pn.cfg.RidRange)
+	hi, err := pn.sc.CounterAdd(ctx, relational.RidCounterKey(tableID), ridRange)
 	if err != nil {
 		return 0, err
 	}
 	pn.mu.Lock()
-	lo := uint64(hi) - uint64(pn.cfg.RidRange) + 1
+	lo := uint64(hi) - ridRange + 1
 	if lo > pn.ridEnd[tableID] {
 		pn.ridNext[tableID], pn.ridEnd[tableID] = lo, uint64(hi)
 	}

@@ -25,9 +25,9 @@ import (
 	"tell/internal/transport"
 )
 
-// Core counts of the simulated machines: PN (and SN, see
-// store.ClusterConfig.CoresPerNode) processes get one NUMA unit of the
-// paper's servers, commit managers and management nodes two cores (§6.1).
+// Core counts of the simulated machines: PN (and SN, see store.SNCores)
+// processes get one NUMA unit of the paper's servers, commit managers and
+// management nodes two cores (§6.1).
 const (
 	PNCores = 4
 	CMCores = 2

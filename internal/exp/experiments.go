@@ -480,27 +480,6 @@ func AblationResilience(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationIndexCache — B+tree inner-node caching on/off (§5.3.1).
-func AblationIndexCache(opt Options) (*Table, error) {
-	t := &Table{
-		ID:     "ablation-indexcache",
-		Title:  "Ablation: index inner-node caching (write-intensive, 4 PNs, RF1)",
-		Header: []string{"caching", "TpmC", "store requests"},
-	}
-	for _, off := range []bool{false, true} {
-		run, err := RunTell(opt, TellParams{PNs: 4, SNs: 5, NoIndexCache: off})
-		if err != nil {
-			return nil, err
-		}
-		label := "on"
-		if off {
-			label = "off"
-		}
-		t.AddRow(label, f0(run.Result.TpmC()), fmt.Sprint(run.NetRequests))
-	}
-	return t, nil
-}
-
 // AblationTidRange — the tid allocation range size (§4.2).
 func AblationTidRange(opt Options) (*Table, error) {
 	t := &Table{
@@ -542,7 +521,6 @@ func Registry() map[string]func(Options) (*Table, error) {
 		"sec633":               Sec633,
 		"ablation-coalesce":    AblationCoalesce,
 		"ablation-resilience":  AblationResilience,
-		"ablation-indexcache":  AblationIndexCache,
 		"ablation-tidrange":    AblationTidRange,
 		"ablation-granularity": AblationGranularity,
 		"ext-pushdown":         ExtPushdown,

@@ -37,10 +37,7 @@ type Options struct {
 	Scale float64
 	// Warmup and Measure are transaction counts.
 	Warmup, Measure int
-	// TerminalsPerWorker oversubscribes the PN worker pools so queueing
-	// occurs, as the paper's terminal counts did.
-	TerminalsPerWorker int
-	Seed               int64
+	Seed            int64
 	// Trace records a full deterministic event trace of the run; the
 	// recorder comes back on TellRun.Trace (or from RunBaselineTraced).
 	Trace bool
@@ -51,9 +48,6 @@ type Options struct {
 	// recorder is installed so the flight recorder still sees span trees
 	// without the run buffering its whole event log.
 	Series bool
-	// SLOs overrides DefaultSLOs as the per-window latency targets
-	// evaluated when Series is set.
-	SLOs []obs.SLO
 	// Durable attaches a WAL + fuzzy checkpoints to every storage node:
 	// "mem" uses the zero-latency blob backend (isolates the protocol
 	// overhead of logging before ack), "s3" the latency-injected S3-profile
@@ -61,6 +55,10 @@ type Options struct {
 	// evaluation did.
 	Durable string
 }
+
+// terminalsPerWorker oversubscribes the PN worker pools so queueing occurs,
+// as the paper's terminal counts did.
+const terminalsPerWorker = 2
 
 // Defaults fills zero fields.
 func (o *Options) Defaults() {
@@ -76,9 +74,6 @@ func (o *Options) Defaults() {
 	if o.Measure <= 0 {
 		o.Measure = 2000
 	}
-	if o.TerminalsPerWorker <= 0 {
-		o.TerminalsPerWorker = 2
-	}
 	if o.Seed == 0 {
 		// TELL_SEED replays a whole experiment run; 42 otherwise.
 		o.Seed = env.SeedFromEnv(42)
@@ -89,11 +84,11 @@ func (o Options) tpccConfig() tpcc.Config {
 	return tpcc.Config{Warehouses: o.Warehouses, Scale: o.Scale, Seed: o.Seed}
 }
 
-// DefaultSLOs is the per-class latency objective set used when Options.SLOs
-// is nil. The targets are calibrated against the simulated InfiniBand
-// deployment (§6.2 latencies are sub-millisecond at the median): loose
-// enough that a healthy run stays green, tight enough that contention or
-// fault injection visibly breaches.
+// DefaultSLOs is the per-class latency objective set evaluated when
+// Options.Series is set. The targets are calibrated against the simulated
+// InfiniBand deployment (§6.2 latencies are sub-millisecond at the median):
+// loose enough that a healthy run stays green, tight enough that contention
+// or fault injection visibly breaches.
 func DefaultSLOs() []obs.SLO {
 	return []obs.SLO{
 		{Class: "new-order", P50: 2 * time.Millisecond, P99: 20 * time.Millisecond, P999: 80 * time.Millisecond},
@@ -114,7 +109,6 @@ type TellParams struct {
 	CacheUnitSize     int
 	Mix               tpcc.Mix
 	SyncInterval      time.Duration
-	NoIndexCache      bool
 	TidRange          int64
 	// InterleavedTids switches the commit managers to the interleaved
 	// allocation scheme (§4.2 future work).
@@ -140,9 +134,6 @@ type TellParams struct {
 	// into a 50ms stall and drown the retry policy's own deadlines; the
 	// resilience experiments use ~2ms.
 	NetTimeout time.Duration
-	// Admission caps each storage node's concurrently admitted requests
-	// (the overload gate); 0 keeps the node default.
-	Admission int
 }
 
 func (p *TellParams) defaults() {
@@ -176,7 +167,7 @@ func (p *TellParams) defaults() {
 // Figures 8 and 9 (PN and SN processes get 4 cores — one NUMA unit of the
 // paper's servers — commit managers 2, the management node 2).
 func (p TellParams) Cores() int {
-	return p.PNs*deploy.PNCores + p.SNs*4 + p.CMs*deploy.CMCores + 2
+	return p.PNs*deploy.PNCores + p.SNs*store.SNCores + p.CMs*deploy.CMCores + 2
 }
 
 // TellRun is the outcome of one Tell deployment run.
@@ -239,14 +230,10 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 	}
 	var pipe *obs.Pipeline
 	if opt.Series {
-		slos := opt.SLOs
-		if slos == nil {
-			slos = DefaultSLOs()
-		}
 		// Adaptive p99.9 capture is on by default: tail-based sampling is
 		// the point of the flight recorder, and the threshold is
 		// deterministic (same-run history only).
-		pipe = obs.New(obs.Config{SLOs: slos, AdaptiveOutliers: true}, envr.Now)
+		pipe = obs.New(obs.Config{SLOs: DefaultSLOs(), AdaptiveOutliers: true}, envr.Now)
 		tracer := rec
 		if tracer == nil {
 			// Counters-only: spans reach the flight recorder through the
@@ -271,7 +258,7 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 			Workers:         p.Workers,
 			Buffer:          p.Buffer,
 			CacheUnitSize:   p.CacheUnitSize,
-			CacheIndexInner: !p.NoIndexCache,
+			CacheIndexInner: true,
 		},
 		Obs: pipe,
 	}
@@ -298,9 +285,6 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		return nil, err
 	}
 	for _, sn := range cluster.Nodes {
-		if p.Admission > 0 {
-			sn.SetAdmission(p.Admission, time.Millisecond)
-		}
 		if p.NetTimeout > 0 {
 			// Scale backoffs with the tightened timeout everywhere,
 			// including the storage nodes' synchronous replication shipping.
@@ -362,7 +346,7 @@ func RunTell(opt Options, p TellParams) (*TellRun, error) {
 		pn.StartWorkers()
 	}
 
-	terminals := p.PNs * p.Workers * opt.TerminalsPerWorker
+	terminals := p.PNs * p.Workers * terminalsPerWorker
 	var res *tpcc.Result
 	var runErr error
 	err := s.Run(6*time.Hour, func(ctx env.Ctx) {
@@ -466,8 +450,10 @@ type BaselineParams struct {
 	Nodes             int // 8-core machines
 	ReplicationFactor int
 	Mix               tpcc.Mix
-	Terminals         int
 }
+
+// baselineTerminalsPerNode sizes a comparison-system run's terminal pool.
+const baselineTerminalsPerNode = 16
 
 // Cores returns the deployment's total core count.
 func (p BaselineParams) Cores() int {
@@ -493,9 +479,6 @@ func RunBaselineTraced(opt Options, p BaselineParams) (*tpcc.Result, *trace.Reco
 	}
 	if p.Mix.Name == "" {
 		p.Mix = tpcc.StandardMix()
-	}
-	if p.Terminals <= 0 {
-		p.Terminals = p.Nodes * 16
 	}
 	k := sim.NewKernel(opt.Seed)
 	envr := env.NewSim(k)
@@ -524,7 +507,7 @@ func RunBaselineTraced(opt Options, p BaselineParams) (*tpcc.Result, *trace.Reco
 	var res *tpcc.Result
 	driverNode.Go("driver", func(ctx env.Ctx) {
 		defer k.Stop()
-		drv := tpcc.NewDriver(opt.tpccConfig(), p.Mix, []tpcc.Engine{eng}, p.Terminals, opt.Seed)
+		drv := tpcc.NewDriver(opt.tpccConfig(), p.Mix, []tpcc.Engine{eng}, p.Nodes*baselineTerminalsPerNode, opt.Seed)
 		res = drv.Run(ctx, envr, driverNode, opt.Warmup, opt.Measure)
 	})
 	if err := k.RunUntil(sim.Time(6 * time.Hour)); err != nil {

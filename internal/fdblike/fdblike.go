@@ -53,11 +53,12 @@ func DefaultCosts() Costs {
 	}
 }
 
+// workers bounds concurrent transactions per process node.
+const workers = 8
+
 // Config assembles an engine.
 type Config struct {
-	// Workers bounds concurrent transactions per process node.
-	Workers int
-	Costs   Costs
+	Costs Costs
 }
 
 // Engine is an FDB-style shared-data cluster over a native TPC-C dataset.
@@ -100,9 +101,6 @@ type job struct {
 // New builds the engine: proc workers on the given nodes plus dedicated
 // sequencer and resolver nodes.
 func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node, sequencer, resolver env.Node) *Engine {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.Costs == (Costs{}) {
 		cfg.Costs = DefaultCosts()
 	}
@@ -118,7 +116,7 @@ func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node, sequ
 	for _, n := range nodes {
 		pn := &procNode{node: n, jobs: envr.NewQueue()}
 		e.procs = append(e.procs, pn)
-		for w := 0; w < cfg.Workers; w++ {
+		for w := 0; w < workers; w++ {
 			n.Go("fdb-worker", func(ctx env.Ctx) {
 				sc := ctx.Trace()
 				for {

@@ -169,7 +169,7 @@ func TestCommittedState(t *testing.T) {
 	h := histcheck.New()
 	h.RecCommit(2, []core.WriteRec{insert("a", 10), insert("b", 20)})
 	h.RecCommit(4, []core.WriteRec{write("a", 2, 11)})
-	h.RecCommit(3, []core.WriteRec{write("a", 2, 99)}) // lower tid: loses to 4
+	h.RecCommit(3, []core.WriteRec{write("a", 2, 99)})                            // lower tid: loses to 4
 	h.RecCommit(5, []core.WriteRec{{Key: []byte("b"), BaseVersion: 2, Row: nil}}) // delete b
 	h.RecBegin(6, snap(5))
 	h.RecAbort(6)

@@ -12,10 +12,10 @@ var randPkgs = []string{"math/rand", "math/rand/v2"}
 // generator is exactly what engine code should do (with a seed threaded
 // from TELL_SEED / the experiment options).
 var seededRandAllowed = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true, // takes a *Rand; has no global state
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true, // takes a *Rand; has no global state
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

@@ -11,7 +11,7 @@ func elapsed(start time.Time) time.Duration {
 }
 
 func pause() {
-	time.Sleep(time.Millisecond) // want "time.Sleep reads the wall clock"
+	time.Sleep(time.Millisecond)     // want "time.Sleep reads the wall clock"
 	t := time.NewTicker(time.Second) // want "time.NewTicker reads the wall clock"
 	t.Stop()
 }

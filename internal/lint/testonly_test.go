@@ -2,10 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -83,34 +79,16 @@ var stdlibMethods = map[string]bool{"Error": true, "String": true, "Unwrap": tru
 // in non-test files under root/internal (test-support packages aside) whose
 // name no non-test file under root uses, as "pkg.Name" or "pkg.Recv.Name".
 func testOnlyExports(root string) ([]string, error) {
-	fset := token.NewFileSet()
+	files, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
 	used := map[string]bool{}
 	declared := map[string]string{} // key -> name
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		pkg, inInternal := strings.CutPrefix(rel, "internal/")
-		if testSupportPkgs[pkg] {
-			return nil
+	for _, f := range files {
+		pkg, inInternal := strings.CutPrefix(f.pkg, "internal/")
+		if f.test || testSupportPkgs[pkg] {
+			continue
 		}
 		names := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
@@ -128,16 +106,12 @@ func testOnlyExports(root string) ([]string, error) {
 			}
 			declared[key] = fn.Name.Name
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(f.File, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !names[id] {
 				used[id.Name] = true
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	var unused []string
 	for key, name := range declared {

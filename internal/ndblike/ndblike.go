@@ -59,14 +59,11 @@ func DefaultCosts() Costs {
 	}
 }
 
+// sqlWorkers bounds concurrent transactions per SQL node.
+const sqlWorkers = 8
+
 // Config assembles an engine.
 type Config struct {
-	// DataNodes is the number of data nodes (warehouses are sharded over
-	// them).
-	DataNodes int
-	// SQLWorkers bounds concurrent transactions per SQL node; the engine
-	// models one SQL node per data node.
-	SQLWorkers int
 	// ReplicationFactor: copies per fragment (NDB NoOfReplicas).
 	ReplicationFactor int
 	Costs             Costs
@@ -82,6 +79,9 @@ type Engine struct {
 	// points, so the critical sections are instantaneous in virtual time.
 	state *env.Locker
 	locks *lockTable
+	// dataNodes is how many data nodes warehouses are sharded over: one
+	// per execution node.
+	dataNodes int
 
 	sqlNodes []*sqlNode
 	next     int
@@ -100,12 +100,6 @@ type sqlNode struct {
 // one data node are co-located per machine, as the paper's deployments
 // paired them).
 func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node) *Engine {
-	if cfg.DataNodes <= 0 {
-		cfg.DataNodes = len(nodes)
-	}
-	if cfg.SQLWorkers <= 0 {
-		cfg.SQLWorkers = 8
-	}
 	if cfg.ReplicationFactor <= 0 {
 		cfg.ReplicationFactor = 1
 	}
@@ -113,16 +107,17 @@ func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node) *Eng
 		cfg.Costs = DefaultCosts()
 	}
 	e := &Engine{
-		cfg:   cfg,
-		envr:  envr,
-		ds:    ds,
-		state: env.NewLocker(envr),
-		locks: newLockTable(envr),
+		cfg:       cfg,
+		envr:      envr,
+		ds:        ds,
+		state:     env.NewLocker(envr),
+		locks:     newLockTable(envr),
+		dataNodes: len(nodes),
 	}
 	for _, n := range nodes {
 		sn := &sqlNode{node: n, jobs: envr.NewQueue()}
 		e.sqlNodes = append(e.sqlNodes, sn)
-		for w := 0; w < cfg.SQLWorkers; w++ {
+		for w := 0; w < sqlWorkers; w++ {
 			n.Go("sql-worker", func(ctx env.Ctx) {
 				sc := ctx.Trace()
 				for {
@@ -167,7 +162,7 @@ func (e *Engine) dataNodeOf(key string) int {
 			w = w*10 + int(ch-'0')
 		}
 	}
-	return w % e.cfg.DataNodes
+	return w % e.dataNodes
 }
 
 // run executes one transaction on an SQL node worker.

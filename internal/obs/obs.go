@@ -50,9 +50,6 @@ type Config struct {
 	// SLOs are the declarative per-class latency targets evaluated each
 	// time a window closes.
 	SLOs []SLO
-	// MaxBreaches bounds the breach-event log (default 1024); past it new
-	// breaches are counted but not stored.
-	MaxBreaches int
 
 	// Slow is the flight recorder's fixed latency threshold; transactions
 	// at or above it are captured. Zero relies on the adaptive threshold
@@ -82,9 +79,6 @@ func (c *Config) defaults() {
 	}
 	if c.Windows <= 0 {
 		c.Windows = 64
-	}
-	if c.MaxBreaches <= 0 {
-		c.MaxBreaches = 1024
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 500
@@ -234,7 +228,7 @@ type Breach struct {
 }
 
 // Breaches returns the stored breach events in occurrence order plus the
-// count of breaches dropped at the MaxBreaches cap.
+// count of breaches dropped at the maxBreaches cap.
 func (p *Pipeline) Breaches() ([]Breach, uint64) {
 	if p == nil {
 		return nil, 0
@@ -246,9 +240,13 @@ func (p *Pipeline) Breaches() ([]Breach, uint64) {
 	return out, p.bdrop
 }
 
+// maxBreaches bounds the breach-event log; past it new breaches are counted
+// but not stored.
+const maxBreaches = 1024
+
 // breachLocked appends one breach event. Caller holds p.mu.
 func (p *Pipeline) breachLocked(b Breach) {
-	if len(p.breaches) >= p.cfg.MaxBreaches {
+	if len(p.breaches) >= maxBreaches {
 		p.bdrop++
 		return
 	}

@@ -151,9 +151,9 @@ type Point struct {
 	Idx   int64         // absolute window index
 	Start time.Duration // Idx * Window
 	// Histogram windows:
-	Count            uint64
-	Mean, P50, P99   time.Duration
-	P999, Min, Max   time.Duration
+	Count          uint64
+	Mean, P50, P99 time.Duration
+	P999, Min, Max time.Duration
 	// Rate windows:
 	N int64
 }

@@ -30,13 +30,9 @@ type Manager struct {
 	cm   *commitmgr.Client
 	log  *txlog.Log
 
-	// PingInterval and FailAfter tune the failure detector.
-	PingInterval time.Duration
-	FailAfter    int
-
 	// retr pins probes to the single-attempt ping policy: a transport-level
 	// retry inside one probe would count several misses per window and
-	// destroy the FailAfter calibration.
+	// destroy the store.FailAfter calibration.
 	retr  *resil.Retrier
 	conns *transport.ConnSet
 
@@ -54,20 +50,22 @@ type Manager struct {
 	OnRecovered func(pn string, rolledBack int)
 }
 
+// pingInterval paces the failure detector's ping rounds; a PN is declared
+// dead after store.FailAfter consecutive misses, as a storage node is.
+const pingInterval = 5 * time.Millisecond
+
 // NewManager creates a PN management node.
 func NewManager(envr env.Full, node env.Node, tr transport.Transport, sc *store.Client, cm *commitmgr.Client) *Manager {
 	m := &Manager{
-		envr:         envr,
-		node:         node,
-		sc:           sc,
-		cm:           cm,
-		log:          txlog.New(sc),
-		retr:         resil.NewRetrier(),
-		PingInterval: 5 * time.Millisecond,
-		FailAfter:    3,
-		pns:          make(map[string]bool),
-		misses:       make(map[string]int),
-		conns:        transport.NewConnSet(tr, node),
+		envr:   envr,
+		node:   node,
+		sc:     sc,
+		cm:     cm,
+		log:    txlog.New(sc),
+		retr:   resil.NewRetrier(),
+		pns:    make(map[string]bool),
+		misses: make(map[string]int),
+		conns:  transport.NewConnSet(tr, node),
 	}
 	m.mu.SetName("recovery.Manager.mu")
 	return m
@@ -127,13 +125,13 @@ func (m *Manager) monitor(ctx env.Ctx) {
 				continue
 			}
 			m.misses[addr]++
-			failed := m.misses[addr] >= m.FailAfter
+			failed := m.misses[addr] >= store.FailAfter
 			m.mu.Unlock()
 			if failed {
 				m.declareFailed(ctx, addr)
 			}
 		}
-		ctx.Sleep(m.PingInterval)
+		ctx.Sleep(pingInterval)
 	}
 }
 

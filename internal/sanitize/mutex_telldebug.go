@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Enabled reports whether the build carries the telldebug instrumentation.
@@ -27,14 +26,11 @@ var registry struct {
 	// seen dedups reported inversions per unordered class pair.
 	seen       map[edgeKey]bool
 	inversions []Inversion
-	longHolds  []LongHold
-	threshold  time.Duration
 }
 
 type heldEntry struct {
 	lock  interface{} // *Mutex or *RWMutex identity, for recursion checks
 	class string
-	since time.Time
 }
 
 type edgeKey struct{ from, to string }
@@ -43,7 +39,6 @@ func init() {
 	registry.held = make(map[uint64][]heldEntry)
 	registry.edges = make(map[edgeKey]string)
 	registry.seen = make(map[edgeKey]bool)
-	registry.threshold = 250 * time.Millisecond
 }
 
 // gid returns the current goroutine's id, parsed from the runtime stack
@@ -112,26 +107,18 @@ func beforeAcquire(lock interface{}, class string) {
 func afterAcquire(lock interface{}, class string) {
 	g := gid()
 	registry.mu.Lock()
-	registry.held[g] = append(registry.held[g], heldEntry{lock: lock, class: class, since: time.Now()})
+	registry.held[g] = append(registry.held[g], heldEntry{lock: lock, class: class})
 	registry.mu.Unlock()
 }
 
 func beforeRelease(lock interface{}) {
 	g := gid()
-	now := time.Now()
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	held := registry.held[g]
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i].lock != lock {
 			continue
-		}
-		if d := now.Sub(held[i].since); d >= registry.threshold {
-			registry.longHolds = append(registry.longHolds, LongHold{
-				Class:  held[i].class,
-				Millis: d.Milliseconds(),
-				Stack:  stack(),
-			})
 		}
 		held = append(held[:i], held[i+1:]...)
 		if len(held) == 0 {
@@ -142,7 +129,7 @@ func beforeRelease(lock interface{}) {
 		return
 	}
 	// Unlock on a goroutine that never locked (lock handoff between
-	// goroutines). Legal for sync.Mutex; the hold simply goes unmeasured.
+	// goroutines). Legal for sync.Mutex; the hold simply goes untracked.
 }
 
 // Mutex is an instrumented sync.Mutex. Zero value is usable; untracked

@@ -1,6 +1,6 @@
 // Package sanitize provides drop-in replacements for sync.Mutex and
 // sync.RWMutex that, under the telldebug build tag, record lock-acquisition
-// order and hold times at runtime. The static lockorder analyzer
+// order at runtime. The static lockorder analyzer
 // (cmd/tellvet) proves ordering properties about lock *classes* it can see
 // syntactically; the runtime sanitizer closes the gap for orders that only
 // materialize dynamically — locks reached through interfaces, callbacks, or
@@ -32,14 +32,4 @@ type Inversion struct {
 	Taking     string // class name of the lock being acquired
 	Stack      string // stack of the acquisition completing the cycle
 	PriorStack string // stack that recorded the opposite edge
-}
-
-// LongHold is a critical section that exceeded the configured threshold.
-// Under chaos matrices a long hold usually means I/O or an RPC crept under
-// a lock — exactly what the static lockorder analyzer flags, caught here
-// when it happens through an indirection the analyzer cannot see.
-type LongHold struct {
-	Class  string
-	Millis int64
-	Stack  string // stack of the Unlock that observed the overlong hold
 }

@@ -59,10 +59,6 @@ type Client struct {
 	// (pipelined batching): one sender would serialize all traffic to a
 	// node behind a single round trip.
 	Senders int
-	// Retries bounds re-routing attempts per operation.
-	Retries int
-	// RetryDelay is slept between retries (virtual time under sim).
-	RetryDelay time.Duration
 	// Resil drives transport-level retries (identical request bytes,
 	// capped backoff with seeded jitter) and the per-endpoint circuit
 	// breaker. Write retries are safe because every write op carries an
@@ -84,6 +80,14 @@ type Client struct {
 	// Stats
 	nBatches, nOps uint64
 }
+
+const (
+	// reroutes bounds re-routing attempts per operation.
+	reroutes = 10
+	// rerouteDelay is slept between re-routing attempts (virtual time
+	// under sim).
+	rerouteDelay = 2 * time.Millisecond
+)
 
 // clientInstances numbers client instances for token identity, per
 // environment: two clients on one node must not collide, but a fresh
@@ -116,8 +120,6 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, mgrAddr str
 		MaxBatch:    64,
 		BatchWindow: 20 * time.Microsecond,
 		Senders:     4,
-		Retries:     10,
-		RetryDelay:  2 * time.Millisecond,
 		Resil:       r,
 		conns:       transport.NewConnSet(tr, node),
 		batchers:    make(map[string]*batcher),
@@ -607,7 +609,7 @@ func (c *Client) Exec(ctx env.Ctx, ops []wire.Op) ([]wire.Result, error) {
 	sc := ctx.Trace()
 	retrying := false
 	epochSeen := c.cachedEpoch()
-	for attempt := 0; attempt < c.Retries; attempt++ {
+	for attempt := 0; attempt < reroutes; attempt++ {
 		var retryIdx []int
 		for i := range results {
 			switch results[i].Status {
@@ -622,7 +624,7 @@ func (c *Client) Exec(ctx env.Ctx, ops []wire.Op) ([]wire.Result, error) {
 			retrying = true
 			sc.Agg.Redirect = trace.CompRetry
 		}
-		ctx.Sleep(c.RetryDelay)
+		ctx.Sleep(rerouteDelay)
 		// The failing response usually piggybacks the newer map (migration
 		// cutover); only fall back to the lookup service when the cache has
 		// not moved since the failed attempt.
@@ -748,9 +750,9 @@ func (c *Client) ScanFiltered(ctx env.Ctx, lo, hi []byte, spec *ScanSpec, limit 
 // starting over when a partition fails.
 func (c *Client) scan(ctx env.Ctx, op wire.Op) ([]wire.Pair, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= reroutes; attempt++ {
 		if attempt > 0 {
-			ctx.Sleep(c.RetryDelay)
+			ctx.Sleep(rerouteDelay)
 			if err := c.refreshMap(ctx); err != nil {
 				lastErr = err
 				continue

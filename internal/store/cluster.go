@@ -7,6 +7,11 @@ import (
 	"tell/internal/transport"
 )
 
+// SNCores sizes the simulated storage machines: half of the paper's
+// dual-socket servers, as each process was pinned to one NUMA unit (§6.1).
+// deploy.PNCores and deploy.CMCores size the other processes.
+const SNCores = 4
+
 // ClusterConfig describes a storage cluster to assemble.
 type ClusterConfig struct {
 	// NumNodes is the number of storage nodes (SNs).
@@ -16,10 +21,6 @@ type ClusterConfig struct {
 	// ReplicationFactor is the total number of copies, master included
 	// (RF1 = no replication), matching the paper's RF1/RF2/RF3 axes.
 	ReplicationFactor int
-	// CoresPerNode sizes the simulated machines (default 4, half of the
-	// paper's dual-socket servers: each process was pinned to one NUMA
-	// unit, §6.1).
-	CoresPerNode int
 	// Spares is how many standby nodes to provision for re-replication.
 	Spares int
 	// Costs is the CPU cost model (DefaultCosts if zero).
@@ -39,9 +40,6 @@ func (c *ClusterConfig) fill() {
 	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 1
-	}
-	if c.CoresPerNode <= 0 {
-		c.CoresPerNode = 4
 	}
 	if c.Costs == (Costs{}) {
 		c.Costs = DefaultCosts()
@@ -101,7 +99,7 @@ func NewCluster(envr env.Full, tr transport.Transport, cfg ClusterConfig) (*Clus
 	// Storage nodes.
 	for i := 0; i < cfg.NumNodes+cfg.Spares; i++ {
 		addr := fmt.Sprintf("sn%d", i)
-		n := envr.NewNode(addr, cfg.CoresPerNode)
+		n := envr.NewNode(addr, SNCores)
 		sn := NewNode(addr, envr, n, tr, cfg.Costs)
 		if cfg.Durable != nil {
 			sn.AttachDurability(*cfg.Durable)
@@ -132,7 +130,7 @@ func (c *Cluster) AddStorageNode(addr string) (*Node, error) {
 	if c.byAddr[addr] != nil {
 		return nil, fmt.Errorf("store: node %q already exists", addr)
 	}
-	n := c.Env.NewNode(addr, c.cfg.CoresPerNode)
+	n := c.Env.NewNode(addr, SNCores)
 	sn := NewNode(addr, c.Env, n, c.Transport, c.cfg.Costs)
 	if c.cfg.Durable != nil {
 		sn.AttachDurability(*c.cfg.Durable)

@@ -23,10 +23,8 @@ type Manager struct {
 	node env.Node
 	tr   transport.Transport
 
-	// PingInterval and FailAfter tune the failure detector: a node is
-	// declared dead after FailAfter consecutive missed pings.
+	// PingInterval paces the failure detector's ping rounds.
 	PingInterval time.Duration
-	FailAfter    int
 	// ReplicationFactor is the target number of copies (master included).
 	ReplicationFactor int
 
@@ -108,6 +106,10 @@ type SNRecoverer interface {
 	RecoverSN(ctx env.Ctx, dead string, pids []uint64, survivors []string) (map[uint64]string, error)
 }
 
+// FailAfter is the failure detector's rule (§4.4): a node is declared dead
+// after this many consecutive missed pings.
+const FailAfter = 3
+
 // NewManager creates a management node serving addr.
 func NewManager(addr string, envr env.Full, node env.Node, tr transport.Transport) *Manager {
 	m := &Manager{
@@ -117,7 +119,6 @@ func NewManager(addr string, envr env.Full, node env.Node, tr transport.Transpor
 		tr:                tr,
 		retr:              resil.NewRetrier(),
 		PingInterval:      5 * time.Millisecond,
-		FailAfter:         3,
 		ReplicationFactor: 1,
 		pmap:              &PartitionMap{Epoch: 1},
 		dead:              make(map[string]bool),
@@ -278,7 +279,7 @@ func (m *Manager) monitor(ctx env.Ctx) {
 				continue
 			}
 			m.misses[addr]++
-			failed := m.misses[addr] >= m.FailAfter && !m.dead[addr]
+			failed := m.misses[addr] >= FailAfter && !m.dead[addr]
 			m.mu.Unlock()
 			if failed {
 				m.failover(ctx, addr)

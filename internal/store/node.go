@@ -144,14 +144,6 @@ func (sn *Node) SetObs(p *obs.Pipeline) {
 	sn.tel.Store(&nodeTel{p: p, heat: p.Heat(sn.addr)})
 }
 
-// SetAdmission reconfigures the admission gate: at most maxInflight client
-// batches execute concurrently; arrivals beyond that wait up to queueDeadline
-// for a slot and are then shed with StatusOverload (experiments size this to
-// the offered load they model).
-func (sn *Node) SetAdmission(maxInflight int, queueDeadline time.Duration) {
-	sn.gate = resil.NewGate(sn.envr, maxInflight, queueDeadline)
-}
-
 // SetRetryPolicies replaces the node's retry policy table (replication
 // shipping). Call at setup time, before the node serves traffic.
 func (sn *Node) SetRetryPolicies(p [resil.NClasses]resil.Policy) { sn.retr.Policies = p }

@@ -515,37 +515,27 @@ func (m *Manager) ResolveJournal(ctx env.Ctx) error {
 	return nil
 }
 
-// RebalancePolicy tunes the placement controller. All decisions are pure
+// The placement controller's calibrated policy. All decisions are pure
 // functions of (heat snapshot, partition map, policy), evaluated on the
 // virtual clock — no wall time — so schedules are deterministic per seed.
-type RebalancePolicy struct {
-	// Interval is the pause between forced controller passes
+const (
+	// RebalanceInterval is the pause between forced controller passes
 	// (Cluster.Rebalance), so live traffic lands between them.
-	Interval time.Duration
-	// Ratio triggers planning when hottest-node load exceeds Ratio times
-	// coldest-node load.
-	Ratio float64
-	// MinOps ignores imbalance below this absolute recent-ops level (an
-	// idle cluster is trivially "imbalanced").
-	MinOps int64
-	// Cooldown is how many planning passes a just-migrated range sits out
-	// before it may migrate again. When residual node loads are close, heat
-	// noise flips the hot/cold inequality from pass to pass and the same
-	// range ping-pongs between owners; the cooldown forces the controller
-	// to either find a different useful action or declare convergence at
-	// the achievable granularity.
-	Cooldown int
-}
-
-// DefaultRebalancePolicy returns the calibrated controller policy.
-func DefaultRebalancePolicy() RebalancePolicy {
-	return RebalancePolicy{
-		Interval: 250 * time.Millisecond,
-		Ratio:    1.5,
-		MinOps:   256,
-		Cooldown: 4,
-	}
-}
+	RebalanceInterval = 250 * time.Millisecond
+	// rebalanceRatio triggers planning when hottest-node load exceeds
+	// rebalanceRatio times coldest-node load.
+	rebalanceRatio = 1.5
+	// heatMinOps ignores imbalance below this absolute recent-ops level
+	// in a heat-based view (an idle cluster is trivially "imbalanced").
+	heatMinOps = 256
+	// rebalanceCooldown is how many planning passes a just-migrated range
+	// sits out before it may migrate again. When residual node loads are
+	// close, heat noise flips the hot/cold inequality from pass to pass and
+	// the same range ping-pongs between owners; the cooldown forces the
+	// controller to either find a different useful action or declare
+	// convergence at the achievable granularity.
+	rebalanceCooldown = 4
+)
 
 // nodeLoad is one node's placement-relevant load: recent ops attributed to
 // the ranges it masters.
@@ -653,7 +643,8 @@ type migPlan struct {
 // plan derives the next placement action from a load view, or nil when the
 // cluster is balanced (or nothing helpful can move). Deterministic: ties
 // break toward lexicographically smaller addresses and lower range ids.
-func (m *Manager) plan(loads []nodeLoad, pol RebalancePolicy) *migPlan {
+// It plans nothing while the hottest node has fewer than minOps recent ops.
+func (m *Manager) plan(loads []nodeLoad, minOps int64) *migPlan {
 	if len(loads) < 2 {
 		return nil
 	}
@@ -677,10 +668,10 @@ func (m *Manager) plan(loads []nodeLoad, pol RebalancePolicy) *migPlan {
 		m.hotShare = float64(hot.ops) / float64(total)
 	}
 	m.mu.Unlock()
-	if hot.addr == cold.addr || hot.ops < pol.MinOps {
+	if hot.addr == cold.addr || hot.ops < minOps {
 		return nil
 	}
-	if cold.ops > 0 && float64(hot.ops) <= pol.Ratio*float64(cold.ops) {
+	if cold.ops > 0 && float64(hot.ops) <= rebalanceRatio*float64(cold.ops) {
 		return nil
 	}
 	gap := hot.ops - cold.ops
@@ -695,7 +686,7 @@ func (m *Manager) plan(loads []nodeLoad, pol RebalancePolicy) *migPlan {
 	}
 	cooling := make(map[uint64]bool, len(m.cooled))
 	for pid, pass := range m.cooled {
-		if m.planPass-pass <= pol.Cooldown {
+		if m.planPass-pass <= rebalanceCooldown {
 			cooling[pid] = true
 		}
 	}
@@ -825,15 +816,15 @@ func (m *Manager) HotShare() float64 {
 // load view and execute it. Returns whether an action ran. Cluster.Rebalance
 // loops this until the view is balanced; nothing runs it in the background.
 func (m *Manager) RebalanceOnce(ctx env.Ctx) (bool, error) {
-	pol := DefaultRebalancePolicy()
 	view, heatBased := m.loads(ctx)
+	minOps := int64(heatMinOps)
 	if !heatBased {
-		// Count-based view: every range scores 1 op, so the policy's heat
-		// noise floor would veto every plan. A forced pass balances range
-		// counts even on an idle cluster.
-		pol.MinOps = 1
+		// Count-based view: every range scores 1 op, so the heat noise
+		// floor would veto every plan. A forced pass balances range counts
+		// even on an idle cluster.
+		minOps = 1
 	}
-	p := m.plan(view, pol)
+	p := m.plan(view, minOps)
 	if p == nil {
 		return false, nil
 	}

@@ -181,7 +181,7 @@ func (e *indexEntries) build(name string, cluster *store.Cluster) error {
 		return bytes.Compare(ka, kb)
 	})
 	return btree.BulkBuild(name, len(perm), func(i int) ([]byte, []byte) { return e.entry(int(perm[i])) },
-		64, cluster.BulkLoad, cluster.BulkLoadCounter)
+		btree.Fanout, cluster.BulkLoad, cluster.BulkLoadCounter)
 }
 
 func (l *loader) loadItems() error {

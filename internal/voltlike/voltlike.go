@@ -56,11 +56,12 @@ func DefaultCosts() Costs {
 	}
 }
 
+// partitionsPerNode is how many partitions each node runs (the paper used 6
+// per 8-core node).
+const partitionsPerNode = 6
+
 // Config assembles an engine.
 type Config struct {
-	// Partitions is the total partition count (the paper used 6 per
-	// 8-core node).
-	Partitions int
 	// ReplicationFactor is the K-factor plus one (RF1 = no replicas).
 	ReplicationFactor int
 	Costs             Costs
@@ -101,12 +102,9 @@ type partitionJob struct {
 	enq  time.Duration
 }
 
-// New builds the engine: partitions spread over nodes (6 per node, as the
-// paper configured), each running one serial executor.
+// New builds the engine: partitions spread over nodes (partitionsPerNode
+// per node, as the paper configured), each running one serial executor.
 func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node) *Engine {
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = len(nodes) * 6
-	}
 	if cfg.ReplicationFactor <= 0 {
 		cfg.ReplicationFactor = 1
 	}
@@ -114,7 +112,7 @@ func New(cfg Config, envr env.Full, ds *baseline.Dataset, nodes []env.Node) *Eng
 		cfg.Costs = DefaultCosts()
 	}
 	e := &Engine{cfg: cfg, envr: envr, ds: ds, multi: env.NewLocker(envr)}
-	for i := 0; i < cfg.Partitions; i++ {
+	for i := 0; i < len(nodes)*partitionsPerNode; i++ {
 		p := &partition{id: i, eng: e, node: nodes[i%len(nodes)], jobs: envr.NewQueue()}
 		e.parts = append(e.parts, p)
 		p.node.Go("executor", p.run)

@@ -209,7 +209,6 @@ func (c *Cluster) Rebalance() (int, error) {
 	if !ok {
 		return 0, errors.New("tell: rebalance requires the real environment")
 	}
-	pol := store.DefaultRebalancePolicy()
 	moves := 0
 	best := 1.0
 	stall := 0
@@ -236,7 +235,7 @@ func (c *Cluster) Rebalance() (int, error) {
 		// give live traffic one policy interval to land before planning the
 		// next action — back-to-back passes would see an empty delta and
 		// fall back to count balancing.
-		ctx.Sleep(pol.Interval)
+		ctx.Sleep(store.RebalanceInterval)
 	}
 	return moves, nil
 }
