@@ -144,7 +144,7 @@ ci:
 	$(GO) test -C bench .
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim ./internal/transport \
 		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy \
-		./internal/core ./internal/tpcc
+		./internal/core ./internal/tpcc ./internal/txlog ./internal/recovery
 	$(GO) test -race -run TestConcurrentTransactStress .
 	$(MAKE) assembly-gate
 	$(MAKE) chaos-race

@@ -580,7 +580,7 @@ func TestConcurrentOverlappingInsertMany(t *testing.T) {
 					ids = append(ids, id)
 					keys, vals = append(keys, key(id)), append(vals, val(id))
 				}
-				existed, err := tr.InsertMany(ctx, keys, vals)
+				existed, err := tr.InsertMany(ctx, nil, keys, vals)
 				if err != nil {
 					t.Errorf("handle %d batch %d: %v", p, b, err)
 					break
@@ -653,7 +653,7 @@ func TestInsertManyWritesLeafOnce(t *testing.T) {
 			keys, vals = append(keys, key(2*i+1)), append(vals, val(i))
 		}
 		before := writes()
-		existed, err := tr.InsertMany(ctx, keys, vals)
+		existed, err := tr.InsertMany(ctx, nil, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -696,7 +696,7 @@ func TestDeleteMany(t *testing.T) {
 			}
 		}
 		before := writes()
-		removed, err := one.DeleteMany(ctx, [][]byte{key(4), key(1), key(99), key(2), key(1), key(0)})
+		removed, err := one.DeleteMany(ctx, nil, [][]byte{key(4), key(1), key(99), key(2), key(1), key(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -724,7 +724,7 @@ func TestDeleteMany(t *testing.T) {
 			gone[i] = true
 			keys = append(keys, key(i))
 		}
-		removed, err = many.DeleteMany(ctx, keys)
+		removed, err = many.DeleteMany(ctx, nil, keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -736,6 +736,145 @@ func TestDeleteMany(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			if _, ok, err := many.Lookup(ctx, key(i)); err != nil || ok == gone[i] {
 				t.Fatalf("key %d: found=%v err=%v, deleted=%v", i, ok, err, gone[i])
+			}
+		}
+	})
+}
+
+// TestLeafHint starts InsertMany and DeleteMany from leaves read earlier:
+// one that split after it was read, one that another writer changed (also
+// where, by the leaf as read, the round would have nothing to put), and
+// one read for a key above the batch, whose leaf does not hold the batch's
+// lowest keys. Every key is still inserted or removed exactly once: the
+// tree scans in order with each live key once, and a lookup finds it.
+func TestLeafHint(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	h.run(t, func(ctx env.Ctx) {
+		if err := btree.Create(ctx, "t", h.client); err != nil {
+			t.Fatal(err)
+		}
+		tr, other := btree.New("t", h.client), btree.New("t", h.client)
+		tr.MaxKeys, other.MaxKeys = 4, 4
+		live := map[int]bool{}
+		for i := 0; i < 80; i += 2 {
+			if _, err := tr.Insert(ctx, key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = true
+		}
+		hint := func(i int) *btree.Leaf {
+			l, err := tr.ReadLeaf(ctx, key(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &l
+		}
+		insert := func(from *btree.Leaf, is ...int) {
+			var keys, vals [][]byte
+			for _, i := range is {
+				keys, vals = append(keys, key(i)), append(vals, val(i))
+			}
+			existed, err := tr.InsertMany(ctx, from, keys, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, i := range is {
+				if existed[j] != live[i] {
+					t.Fatalf("insert %d: existed %v, want %v", i, existed[j], live[i])
+				}
+				live[i] = true
+			}
+		}
+		remove := func(from *btree.Leaf, is ...int) {
+			var keys [][]byte
+			for _, i := range is {
+				keys = append(keys, key(i))
+			}
+			removed, err := tr.DeleteMany(ctx, from, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, i := range is {
+				if removed[j] != live[i] {
+					t.Fatalf("delete %d: removed %v, want %v", i, removed[j], live[i])
+				}
+				delete(live, i)
+			}
+		}
+
+		// The hinted leaf split after it was read.
+		split := hint(40)
+		for _, i := range []int{41, 43, 45} {
+			if _, err := other.Insert(ctx, key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = true
+		}
+		insert(split, 39, 41, 47)
+		split = hint(40)
+		for _, i := range []int{49, 51, 53} {
+			if _, err := other.Insert(ctx, key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = true
+		}
+		remove(split, 40, 42, 49, 53)
+
+		// Another writer changed the hinted leaf.
+		changed := hint(20)
+		if _, err := other.Delete(ctx, key(22)); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, 22)
+		remove(changed, 20, 22)
+		changed = hint(24)
+		if _, err := other.Insert(ctx, key(25), val(25)); err != nil {
+			t.Fatal(err)
+		}
+		live[25] = true
+		insert(changed, 24, 25, 27)
+
+		// The hinted leaf changed and the round has nothing to put by the
+		// leaf as read: every key present for an insert, every key absent
+		// for a delete.
+		changed = hint(32)
+		if _, err := other.Delete(ctx, key(32)); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, 32)
+		insert(changed, 32)
+		changed = hint(35)
+		if _, err := other.Insert(ctx, key(35), val(35)); err != nil {
+			t.Fatal(err)
+		}
+		live[35] = true
+		remove(changed, 35)
+
+		// The hint was read for a key above the batch's lowest ones.
+		insert(hint(78), 1, 3, 77, 79)
+		remove(hint(70), 10, 12, 71)
+
+		var got []int
+		if err := tr.Scan(ctx, nil, nil, func(k, v []byte) bool {
+			var i int
+			fmt.Sscanf(string(k), "k%06d", &i)
+			got = append(got, i)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for i := 0; i < 80; i++ {
+			if live[i] {
+				want = append(want, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("tree holds %v, want %v", got, want)
+		}
+		for i := 0; i < 80; i++ {
+			if _, ok, err := tr.Lookup(ctx, key(i)); err != nil || ok != live[i] {
+				t.Fatalf("key %d: found=%v err=%v, want %v", i, ok, err, live[i])
 			}
 		}
 	})

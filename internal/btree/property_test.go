@@ -85,7 +85,7 @@ func applyOps(t *testing.T, ops []treeOp) string {
 				for j, bk := range o.keys {
 					keys[j], vals[j] = key(bk), v
 				}
-				existed, err := tr.InsertMany(ctx, keys, vals)
+				existed, err := tr.InsertMany(ctx, nil, keys, vals)
 				if err != nil {
 					failure = fmt.Sprintf("op %d %s: %v", i, o, err)
 					return

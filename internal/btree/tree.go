@@ -270,23 +270,59 @@ func (t *Tree) tryDescend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
 	}
 }
 
+// Leaf is the leaf covering a key as one descent found it: the path from
+// the root and the leaf's LL stamp. InsertMany and DeleteMany take it to
+// start their first round there instead of descending again. The hint can
+// only save a round trip, never change an outcome: it is used only for keys
+// in [the key it was read for, the leaf's high key), which the leaf covers
+// for as long as its stamp is unchanged (leaves split to the right and are
+// never merged); a leaf that changed since fails its conditional put, so
+// the round descends afresh; and a round on the hint that has nothing to
+// put, whose outcome no conditional put would check, is run again from a
+// fresh descent.
+type Leaf struct {
+	key  []byte
+	path []pathEntry
+}
+
+// ReadLeaf descends to the leaf covering key.
+func (t *Tree) ReadLeaf(ctx env.Ctx, key []byte) (Leaf, error) {
+	path, err := t.descend(ctx, key)
+	return Leaf{key: key, path: path}, err
+}
+
+// node returns the leaf itself.
+func (l *Leaf) node() *node { return l.path[len(l.path)-1].n }
+
+// covers reports whether key lies in the part of the leaf's range the hint
+// vouches for.
+func (l *Leaf) covers(key []byte) bool {
+	return bytes.Compare(key, l.key) >= 0 && l.node().covers(key)
+}
+
+// Get returns the value the leaf holds under key.
+func (l *Leaf) Get(key []byte) ([]byte, bool) {
+	n := l.node()
+	if i, ok := n.findKey(key); ok {
+		return n.vals[i], true
+	}
+	return nil, false
+}
+
 // Lookup returns the value stored under key.
 func (t *Tree) Lookup(ctx env.Ctx, key []byte) ([]byte, bool, error) {
-	path, err := t.descend(ctx, key)
+	leaf, err := t.ReadLeaf(ctx, key)
 	if err != nil {
 		return nil, false, err
 	}
-	leaf := path[len(path)-1].n
-	if i, ok := leaf.findKey(key); ok {
-		return leaf.vals[i], true, nil
-	}
-	return nil, false, nil
+	val, ok := leaf.Get(key)
+	return val, ok, nil
 }
 
 // Insert adds (key, val) if key is absent. It reports whether the key
 // already existed (in which case nothing changes).
 func (t *Tree) Insert(ctx env.Ctx, key, val []byte) (existed bool, err error) {
-	ex, err := t.InsertMany(ctx, [][]byte{key}, [][]byte{val})
+	ex, err := t.InsertMany(ctx, nil, [][]byte{key}, [][]byte{val})
 	if err != nil {
 		return false, err
 	}
@@ -300,52 +336,67 @@ func (t *Tree) Insert(ctx env.Ctx, key, val []byte) (existed bool, err error) {
 // pending key, merges every pending key that leaf covers (at most MaxKeys
 // new ones, so the result splits at most once) and installs the leaf with
 // one conditional put (§5.3). A conflict retries only that round's keys.
-func (t *Tree) InsertMany(ctx env.Ctx, keys, vals [][]byte) (existed []bool, err error) {
+// A non-nil from is a leaf read earlier (see Leaf): the first round starts
+// from it when it covers the lowest key.
+func (t *Tree) InsertMany(ctx env.Ctx, from *Leaf, keys, vals [][]byte) (existed []bool, err error) {
 	existed = make([]bool, len(keys))
-	if err := t.byLeaf(keys, func(pending []int) (int, bool, error) {
-		return t.insertRound(ctx, keys, vals, pending, existed)
+	if err := t.byLeaf(ctx, from, keys, func(pending []int, path []pathEntry) (int, bool, bool, error) {
+		return t.insertRound(ctx, keys, vals, pending, path, existed)
 	}); err != nil {
 		return nil, err
 	}
 	return existed, nil
 }
 
-// byLeaf hands round the indexes of keys in key order until every key is
-// settled. Each call settles the pending keys that share the first one's
-// leaf and reports how many, or reports that its leaf write raced with
+// byLeaf hands round the indexes of keys in key order, with the path to the
+// leaf covering the first of them, until every key is settled. Each call
+// settles the pending keys that share that leaf and reports how many and
+// whether it wrote the leaf, or reports that its leaf write raced with
 // another writer; a race retries the same keys, up to retries times in a
-// row.
-func (t *Tree) byLeaf(keys [][]byte, round func(pending []int) (n int, ok bool, err error)) error {
+// row. The first round's path is from's when from covers the lowest key;
+// every other round descends. A round on from's path that wrote nothing
+// settled its keys from the leaf as it was read, which no conditional put
+// checked: the leaf may have changed since, so those keys go again from a
+// fresh descent.
+func (t *Tree) byLeaf(ctx env.Ctx, from *Leaf, keys [][]byte, round func(pending []int, path []pathEntry) (n int, wrote, ok bool, err error)) error {
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
 	for p, raced := 0, 0; p < len(order); {
-		n, ok, err := round(order[p:])
-		if err != nil {
+		hinted := from != nil && from.covers(keys[order[p]])
+		var path []pathEntry
+		if hinted {
+			path = from.path
+		} else {
+			var err error
+			if path, err = t.descend(ctx, keys[order[p]]); err != nil {
+				return err
+			}
+		}
+		from = nil
+		n, wrote, ok, err := round(order[p:], path)
+		switch {
+		case err != nil:
 			return err
-		}
-		if ok {
+		case !ok:
+			if raced++; raced == retries {
+				return ErrRetriesExhausted
+			}
+		case wrote || !hinted:
 			p, raced = p+n, 0
-			continue
-		}
-		if raced++; raced == retries {
-			return ErrRetriesExhausted
 		}
 	}
 	return nil
 }
 
 // insertRound installs the entries of pending (indexes into keys and vals,
-// in key order) that fall into the leaf covering the first of them, and
-// reports how many of them it settled. ok is false when the leaf write
-// raced with another writer; nothing was settled then.
-func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, existed []bool) (n int, ok bool, err error) {
-	path, err := t.descend(ctx, keys[pending[0]])
-	if err != nil {
-		return 0, false, err
-	}
+// in key order) that fall into the leaf path ends at, which covers the
+// first of them, and reports how many of them it settled and whether it
+// wrote the leaf. ok is false when the leaf write raced with another
+// writer; nothing was settled then.
+func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, path []pathEntry, existed []bool) (n int, wrote, ok bool, err error) {
 	leaf := path[len(path)-1].n
 	stamp := path[len(path)-1].stamp
 	nl, added := leaf, 0
@@ -363,17 +414,17 @@ func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, exis
 		added++
 	}
 	if added == 0 {
-		return n, true, nil
+		return n, false, true, nil
 	}
 	if len(nl.keys) <= t.MaxKeys {
 		_, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
 		if err == store.ErrConflict || err == store.ErrNotFound {
-			return 0, false, nil
+			return 0, false, false, nil
 		}
-		return n, err == nil, err
+		return n, true, err == nil, err
 	}
 	ok, err = t.splitLeafAndInsert(ctx, path, nl, stamp)
-	return n, ok, err
+	return n, true, ok, err
 }
 
 // splitLeafAndInsert installs nl (already containing the new keys and
@@ -663,14 +714,15 @@ func (t *Tree) descendToLevel(ctx env.Ctx, key []byte, level int) (uint64, error
 // DeleteMany removes every key present and reports per key whether it was;
 // a key given twice is reported removed once. Keys that share a leaf go
 // together, as in InsertMany: each round descends to the leaf covering the
-// lowest pending key, drops every pending key that leaf covers and installs
-// it with one conditional put; a conflict retries only that round's keys. Structural shrinking is lazy: emptied leaves stay
-// linked (readers skip them via B-link pointers), matching the paper's lazy
-// index GC stance.
-func (t *Tree) DeleteMany(ctx env.Ctx, keys [][]byte) (removed []bool, err error) {
+// lowest pending key (the first round starts from from when it can), drops
+// every pending key that leaf covers and installs it with one conditional
+// put; a conflict retries only that round's keys. Structural shrinking is
+// lazy: emptied leaves stay linked (readers skip them via B-link pointers),
+// matching the paper's lazy index GC stance.
+func (t *Tree) DeleteMany(ctx env.Ctx, from *Leaf, keys [][]byte) (removed []bool, err error) {
 	removed = make([]bool, len(keys))
-	if err := t.byLeaf(keys, func(pending []int) (int, bool, error) {
-		return t.deleteRound(ctx, keys, pending, removed)
+	if err := t.byLeaf(ctx, from, keys, func(pending []int, path []pathEntry) (int, bool, bool, error) {
+		return t.deleteRound(ctx, keys, pending, path, removed)
 	}); err != nil {
 		return nil, err
 	}
@@ -678,14 +730,11 @@ func (t *Tree) DeleteMany(ctx env.Ctx, keys [][]byte) (removed []bool, err error
 }
 
 // deleteRound removes the keys of pending (indexes into keys, in key order)
-// that fall into the leaf covering the first of them, and reports how many
-// of them it settled. ok is false when the leaf write raced with another
-// writer; nothing was settled then.
-func (t *Tree) deleteRound(ctx env.Ctx, keys [][]byte, pending []int, removed []bool) (n int, ok bool, err error) {
-	path, err := t.descend(ctx, keys[pending[0]])
-	if err != nil {
-		return 0, false, err
-	}
+// that fall into the leaf path ends at, which covers the first of them, and
+// reports how many of them it settled and whether it wrote the leaf. ok is
+// false when the leaf write raced with another writer; nothing was settled
+// then.
+func (t *Tree) deleteRound(ctx env.Ctx, keys [][]byte, pending []int, path []pathEntry, removed []bool) (n int, wrote, ok bool, err error) {
 	leaf := path[len(path)-1].n
 	stamp := path[len(path)-1].stamp
 	nl := leaf
@@ -702,13 +751,13 @@ func (t *Tree) deleteRound(ctx env.Ctx, keys [][]byte, pending []int, removed []
 		nl.removeLeaf(i)
 	}
 	if nl == leaf {
-		return n, true, nil
+		return n, false, true, nil
 	}
 	_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
 	if err == store.ErrConflict || err == store.ErrNotFound {
-		return 0, false, nil
+		return 0, false, false, nil
 	}
-	return n, err == nil, err
+	return n, true, err == nil, err
 }
 
 // Update replaces the value under key, reporting whether it was present.
@@ -741,11 +790,18 @@ func (t *Tree) Update(ctx env.Ctx, key, val []byte) (bool, error) {
 // Scan visits entries with lo <= key < hi in ascending order, following the
 // leaf chain. fn returning false stops the scan. hi == nil means unbounded.
 func (t *Tree) Scan(ctx env.Ctx, lo, hi []byte, fn func(key, val []byte) bool) error {
-	path, err := t.descend(ctx, lo)
+	from, err := t.ReadLeaf(ctx, lo)
 	if err != nil {
 		return err
 	}
-	leaf := path[len(path)-1].n
+	return t.ScanFrom(ctx, &from, hi, fn)
+}
+
+// ScanFrom is Scan from a leaf already read: it visits the entries from
+// the key from was read for up to hi.
+func (t *Tree) ScanFrom(ctx env.Ctx, from *Leaf, hi []byte, fn func(key, val []byte) bool) error {
+	lo, leaf := from.key, from.node()
+	var err error
 	for {
 		for i := range leaf.keys {
 			if bytes.Compare(leaf.keys[i], lo) < 0 {

@@ -895,7 +895,7 @@ func (s *Server) tidFinished(tid uint64) bool {
 // issued in the dead manager's final interval; an entry with an outcome is
 // applied, one without is left for the grace-period sweep.
 func (s *Server) fenceAndClose(ctx env.Ctx, l *txlog.Log, tid uint64) {
-	err := l.Append(ctx, &txlog.Entry{
+	_, err := l.Append(ctx, &txlog.Entry{
 		TID:       tid,
 		PN:        "recovery:" + s.id,
 		Timestamp: ctx.Now(),

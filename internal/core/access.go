@@ -80,14 +80,6 @@ func (e *UnknownIndexError) Error() string {
 	return "core: table " + e.Table + " has no index " + e.Index
 }
 
-// treeHandle is the slice of the B+tree API a read round needs; it lets
-// tests substitute instrumented trees.
-type treeHandle interface {
-	Scan(ctx env.Ctx, lo, hi []byte, fn func(k, v []byte) bool) error
-	Lookup(ctx env.Ctx, key []byte) ([]byte, bool, error)
-	DeleteMany(ctx env.Ctx, keys [][]byte) ([]bool, error)
-}
-
 // entryObsolete reports whether no surviving (non-collectable) version of
 // the record carries the indexed key: Va \ G = ∅ (§5.4).
 func entryObsolete(schema *relational.TableSchema, cols []int, keyPrefix []byte, rec *mvcc.Record, lav uint64) bool {

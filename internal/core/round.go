@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"time"
 
+	"tell/internal/btree"
 	"tell/internal/env"
 	"tell/internal/relational"
 	"tell/internal/trace"
@@ -16,7 +17,7 @@ import (
 // used once.
 type Read struct {
 	table     *TableInfo
-	tree      treeHandle
+	tree      *btree.Tree
 	cols      []int  // the indexed columns: a live entry matches its row on them
 	ridSuffix bool   // secondary entries end in the rid
 	point     bool   // lo is the key; at most one entry
@@ -27,6 +28,7 @@ type Read struct {
 	err       error // set by a constructor that cannot build the read
 
 	hits []indexHit   // the entries of the current walk
+	leaf btree.Leaf   // the current walk's first leaf
 	rows []IndexEntry // the visible rows found, in key order (fn nil)
 }
 
@@ -164,27 +166,30 @@ func (t *Txn) ReadRound(ctx env.Ctx, reads []Read) error {
 }
 
 // walk runs r's B+tree walk and keeps the entries it meets, at most a page
-// of them.
+// of them, and the leaf it started in.
 func (r *Read) walk(ctx env.Ctx) {
 	r.hits = r.hits[:0]
+	if r.leaf, r.err = r.tree.ReadLeaf(ctx, r.lo); r.err != nil {
+		return
+	}
 	if r.point {
-		val, ok, err := r.tree.Lookup(ctx, r.lo)
-		if ok {
+		if val, ok := r.leaf.Get(r.lo); ok {
 			r.hits = append(r.hits, indexHit{key: r.lo, rid: relational.RidFromIndexVal(val)})
 		}
-		r.err = err
 		return
 	}
 	page := r.page
-	r.err = r.tree.Scan(ctx, r.lo, r.hi, func(k, v []byte) bool {
+	r.err = r.tree.ScanFrom(ctx, &r.leaf, r.hi, func(k, v []byte) bool {
 		r.hits = append(r.hits, indexHit{key: append([]byte(nil), k...), rid: relational.RidFromIndexVal(v)})
 		return page == 0 || len(r.hits) < page
 	})
 }
 
-// staleEntries are the entries of one tree a read found obsolete.
+// staleEntries are the entries of one tree a read found obsolete, and the
+// leaf the read's walk started in.
 type staleEntries struct {
-	tree treeHandle
+	tree *btree.Tree
+	from *btree.Leaf
 	keys [][]byte
 }
 
@@ -193,7 +198,7 @@ type staleEntries struct {
 // walk on: its page was full and it still wants rows. The page resumes at
 // key+0x00, the least key above the page's last one.
 func (t *Txn) settle(ctx env.Ctx, r *Read) (again bool, stale staleEntries, err error) {
-	stale.tree = r.tree
+	stale.tree, stale.from = r.tree, &r.leaf
 	for _, h := range r.hits {
 		row, found, err := t.Read(ctx, r.table, h.rid)
 		if err != nil {
@@ -244,20 +249,18 @@ func (r *Read) deliver(e IndexEntry) bool {
 
 // collect removes the stale entries a round found (§5.4: "index GC is
 // performed during read operations"): each read's entries with one batched
-// delete, every read's delete at once. Failures are fine — "if the LL/SC
-// operation fails, GC is retried with the next read".
+// delete that starts from the leaf its walk read, every read's delete at
+// once. Failures are fine — "if the LL/SC operation fails, GC is retried
+// with the next read".
 func (t *Txn) collect(ctx env.Ctx, stale []staleEntries) {
 	t.fanOut(ctx, "index-gc", len(stale), func(gctx env.Ctx, i int) {
-		stale[i].tree.DeleteMany(gctx, stale[i].keys)
+		stale[i].tree.DeleteMany(gctx, stale[i].from, stale[i].keys)
 	})
 }
 
 // fanOut runs fn(ctx, i) for every i in [0, n) as concurrent
-// sub-activities and waits for all of them; a single call runs inline. The
-// wait is charged to the remote component of the driving transaction's
-// breakdown: the sub-activities run with their own contexts (no
-// aggregator), so from the caller's viewpoint this is time spent waiting on
-// remote work.
+// sub-activities (start) and waits for all of them; a single call runs
+// inline.
 func (t *Txn) fanOut(ctx env.Ctx, name string, n int, fn func(ctx env.Ctx, i int)) {
 	switch n {
 	case 0:
@@ -266,6 +269,15 @@ func (t *Txn) fanOut(ctx env.Ctx, name string, n int, fn func(ctx env.Ctx, i int
 		fn(ctx, 0)
 		return
 	}
+	t.start(ctx, name, n, fn)()
+}
+
+// start runs fn(ctx, i) for every i in [0, n) as concurrent sub-activities
+// and returns a function that waits for all of them. The wait is charged to
+// the remote component of the driving transaction's breakdown: the
+// sub-activities run with their own contexts (no aggregator), so from the
+// caller's viewpoint this is time spent waiting on remote work.
+func (t *Txn) start(ctx env.Ctx, name string, n int, fn func(ctx env.Ctx, i int)) (wait func()) {
 	futs := make([]env.Future, n)
 	for i := range futs {
 		futs[i] = t.pn.envr.NewFuture()
@@ -274,11 +286,13 @@ func (t *Txn) fanOut(ctx env.Ctx, name string, n int, fn func(ctx env.Ctx, i int
 			futs[i].Set(nil)
 		})
 	}
-	t0 := ctx.Now()
-	for _, f := range futs {
-		f.Get(ctx)
-	}
-	if sc := ctx.Trace(); sc.Agg != nil {
-		sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
+	return func() {
+		t0 := ctx.Now()
+		for _, f := range futs {
+			f.Get(ctx)
+		}
+		if sc := ctx.Trace(); sc.Agg != nil {
+			sc.Agg.Add(trace.CompRemote, ctx.Now()-t0)
+		}
 	}
 }

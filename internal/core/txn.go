@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -365,6 +366,10 @@ func (t *Txn) Abort(ctx env.Ctx) error {
 //     any failure is a write-write conflict → roll back and abort,
 //  3. alter the indexes,
 //  4. set the commit flag in the log and notify the commit manager.
+//
+// The index entries are worked out before step 1, and the leaf each tree's
+// share starts in is read while steps 1 and 2 run; the entries are still
+// written, and their CPU charged, only after step 2 (see indexBatches).
 func (t *Txn) Commit(ctx env.Ctx) error {
 	if t.state != StateRunning {
 		return ErrTxnDone
@@ -397,14 +402,89 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 		return t.pn.cm.Committed(ctx, t.tid)
 	}
 
-	// 1. Try-Commit: log entry first — recovery depends on it (§4.4.1).
+	batches := t.indexBatches()
+	leavesRead := t.readLeaves(ctx, batches)
 	entry := &txlog.Entry{TID: t.tid, PN: t.pn.cfg.ID, Timestamp: ctx.Now()}
 	for _, ks := range t.order {
 		entry.WriteSet = append(entry.WriteSet, t.writes[ks].key)
 	}
-	if err := t.pn.log.Append(ctx, entry); err != nil {
+	entryStamp, applied, newRecs, err := t.appendAndApply(ctx, sc, entry)
+	if err != nil {
+		// Aborted: the leaf reads fill only batches nobody uses now, so
+		// the worker does not wait for them.
+		return err
+	}
+	leavesRead()
+
+	// 3. Alter the indexes (§4.3: "next, the indexes are altered to
+	// reflect the updates"). Their CPU is charged here, one IndexOp per
+	// write, so a commit that aborted at the apply paid none.
+	ctx.Work(time.Duration(len(t.order)) * t.pn.cfg.Costs.IndexOp)
+	if err := t.parallelIndexOps(ctx, batches); err != nil {
+		if err == ErrDuplicateKey {
+			t.abortConflict(ctx, sc, applied, AbortDuplicateKey)
+			return ErrDuplicateKey
+		}
+		// Index infrastructure failure: record data is applied, so the
+		// safest course is still abort-with-rollback.
+		t.abortConflict(ctx, sc, applied, AbortError)
+		return err
+	}
+
+	// Shared-buffer write-through (§5.5.2).
+	if t.pn.shared != nil {
+		vm := t.pn.vmax()
+		for i, ks := range t.order {
+			w := t.writes[ks]
+			b := vm.Clone()
+			b.Add(t.tid)
+			t.pn.shared.writeThrough(string(w.key), newRecs[i], w.baseStmp, b)
+		}
+	}
+
+	// 4. Commit flag, then the commit manager. Committed() blocks until
+	// the manager has acknowledged the finish — under the coalesced CM
+	// protocol the note rides in a grouped message shared with other
+	// workers' starts and finishes, but the visibility guarantee is
+	// unchanged: any transaction started after Commit() returns sees this
+	// one as committed.
+	if err := t.pn.log.MarkCommitted(ctx, entry, entryStamp); err != nil {
+		// The flag could not be set (store unavailable). The updates are
+		// applied; recovery would roll this transaction back, so report
+		// failure and abort bookkeeping-wise.
+		t.abortConflict(ctx, sc, applied, AbortError)
+		return err
+	}
+	t.state = StateCommitted
+	t.pn.mu.Lock()
+	t.pn.commits++
+	t.pn.mu.Unlock()
+	if t.rec != nil {
+		wrs := make([]WriteRec, 0, len(t.order))
+		for _, ks := range t.order {
+			w := t.writes[ks]
+			wrs = append(wrs, WriteRec{
+				Key:         w.key,
+				BaseVersion: w.baseVTID,
+				Row:         w.newRow,
+				Insert:      w.isInsert,
+			})
+		}
+		t.rec.RecCommit(t.tid, wrs)
+	}
+	return t.pn.cm.Committed(ctx, t.tid)
+}
+
+// appendAndApply runs Commit's steps 1 and 2: it appends entry to the log
+// and applies the buffered updates. It returns the entry's LL stamp, the
+// indexes (into t.order) of the updates applied and their new records. On
+// an error the transaction is already aborted and its applied updates
+// rolled back.
+func (t *Txn) appendAndApply(ctx env.Ctx, sc *trace.Scope, entry *txlog.Entry) (entryStamp uint64, applied []int, newRecs []*mvcc.Record, err error) {
+	// 1. Try-Commit: log entry first — recovery depends on it (§4.4.1).
+	if entryStamp, err = t.pn.log.Append(ctx, entry); err != nil {
 		t.Abort(ctx)
-		return fmt.Errorf("core: txlog append: %w", err)
+		return 0, nil, nil, fmt.Errorf("core: txlog append: %w", err)
 	}
 
 	// SBVS: invalidate version-set entries before applying data so no
@@ -412,13 +492,13 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 	if t.pn.cfg.Buffer == SBVS {
 		if err := t.writeVersionSets(ctx); err != nil {
 			t.Abort(ctx)
-			return err
+			return 0, nil, nil, err
 		}
 	}
 
 	// 2. Apply updates with one batched request set.
 	ops := make([]wire.Op, 0, len(t.order))
-	newRecs := make([]*mvcc.Record, len(t.order))
+	newRecs = make([]*mvcc.Record, len(t.order))
 	for i, ks := range t.order {
 		w := t.writes[ks]
 		ctx.Work(t.pn.cfg.Costs.CommitOp)
@@ -456,7 +536,7 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 		sc.R.Instant(sc.Span, t.pn.node.Name(), "validate", int64(t.tid), int64(len(ops)))
 	}
 	results, err := t.pn.sc.Exec(ctx, ops)
-	applied := make([]int, 0, len(ops))
+	applied = make([]int, 0, len(ops))
 	if err != nil {
 		// Outcome unknown for every write: any of them may have applied.
 		// Rolling back a version that is not there is a no-op.
@@ -464,7 +544,7 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 			applied = append(applied, i)
 		}
 		t.abortConflict(ctx, sc, applied, AbortError)
-		return err
+		return 0, nil, nil, err
 	}
 	conflict := false
 	for i, res := range results {
@@ -495,64 +575,9 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 	}
 	if conflict {
 		t.abortConflict(ctx, sc, applied, AbortCommitConflict)
-		return ErrConflict
+		return 0, nil, nil, ErrConflict
 	}
-
-	// 3. Alter the indexes (§4.3: "next, the indexes are altered to
-	// reflect the updates").
-	if err := t.maintainIndexes(ctx); err != nil {
-		if err == ErrDuplicateKey {
-			t.abortConflict(ctx, sc, applied, AbortDuplicateKey)
-			return ErrDuplicateKey
-		}
-		// Index infrastructure failure: record data is applied, so the
-		// safest course is still abort-with-rollback.
-		t.abortConflict(ctx, sc, applied, AbortError)
-		return err
-	}
-
-	// Shared-buffer write-through (§5.5.2).
-	if t.pn.shared != nil {
-		vm := t.pn.vmax()
-		for i, ks := range t.order {
-			w := t.writes[ks]
-			b := vm.Clone()
-			b.Add(t.tid)
-			t.pn.shared.writeThrough(string(w.key), newRecs[i], w.baseStmp, b)
-		}
-	}
-
-	// 4. Commit flag, then the commit manager. Committed() blocks until
-	// the manager has acknowledged the finish — under the coalesced CM
-	// protocol the note rides in a grouped message shared with other
-	// workers' starts and finishes, but the visibility guarantee is
-	// unchanged: any transaction started after Commit() returns sees this
-	// one as committed.
-	if err := t.pn.log.MarkCommitted(ctx, t.tid); err != nil {
-		// The flag could not be set (store unavailable). The updates are
-		// applied; recovery would roll this transaction back, so report
-		// failure and abort bookkeeping-wise.
-		t.abortConflict(ctx, sc, applied, AbortError)
-		return err
-	}
-	t.state = StateCommitted
-	t.pn.mu.Lock()
-	t.pn.commits++
-	t.pn.mu.Unlock()
-	if t.rec != nil {
-		wrs := make([]WriteRec, 0, len(t.order))
-		for _, ks := range t.order {
-			w := t.writes[ks]
-			wrs = append(wrs, WriteRec{
-				Key:         w.key,
-				BaseVersion: w.baseVTID,
-				Row:         w.newRow,
-				Insert:      w.isInsert,
-			})
-		}
-		t.rec.RecCommit(t.tid, wrs)
-	}
-	return t.pn.cm.Committed(ctx, t.tid)
+	return entryStamp, applied, newRecs, nil
 }
 
 func (t *Txn) finishAbort(ctx env.Ctx, reason int64) {
@@ -623,14 +648,20 @@ func (t *Txn) ownVersionApplied(ctx env.Ctx, ks string) bool {
 	return true
 }
 
-// maintainIndexes inserts the index entries required by this transaction's
-// writes. Indexes are version-unaware (§5.3.2): new entries appear only for
-// inserts and for updates that changed an indexed key; obsolete entries are
-// garbage collected by readers (§5.4). The entries are grouped by tree and
-// each tree takes its share in one batched insert, which writes every leaf
-// once (§5.1, §5.3); the trees run concurrently so the request batcher
-// coalesces their traffic.
-func (t *Txn) maintainIndexes(ctx env.Ctx) error {
+// indexBatches works out the index entries this transaction's writes
+// need, grouped by tree; Commit charges their CPU. Indexes are
+// version-unaware (§5.3.2): new entries appear only for inserts and for
+// updates that changed an indexed key; obsolete entries are garbage
+// collected by readers (§5.4). Each tree takes its share in one batched
+// insert, which writes every leaf once (§5.1, §5.3); the trees run
+// concurrently so the request batcher coalesces their traffic
+// (parallelIndexOps).
+//
+// The entries are inserted only after the data is applied, never beside
+// it: a reader that meets an entry whose record is not yet in the store
+// finds the entry obsolete (entryObsolete of a missing record) and
+// collects it, and the entry would be lost.
+func (t *Txn) indexBatches() []*indexBatch {
 	var batches []*indexBatch
 	add := func(tree *btree.Tree, pkOf *TableInfo, key []byte, rid uint64) {
 		i := slices.IndexFunc(batches, func(b *indexBatch) bool { return b.tree == tree })
@@ -643,7 +674,6 @@ func (t *Txn) maintainIndexes(ctx env.Ctx) error {
 	}
 	for _, ks := range t.order {
 		w := t.writes[ks]
-		ctx.Work(t.pn.cfg.Costs.IndexOp)
 		if w.isInsert {
 			add(w.table.PK, w.table, w.table.PKKey(w.newRow), w.rid)
 			for _, name := range det.Keys(w.table.Sec) {
@@ -671,16 +701,32 @@ func (t *Txn) maintainIndexes(ctx env.Ctx) error {
 			add(w.table.PK, w.table, newPK, w.rid)
 		}
 	}
-	return t.parallelIndexOps(ctx, batches)
+	return batches
 }
 
 // indexBatch is one tree's share of a commit's index entries; the values
 // are the entries' rids. pkOf is set when the tree is that table's primary
-// key index, whose inserts are checked for duplicates.
+// key index, whose inserts are checked for duplicates. from is the leaf
+// covering the lowest key, read beside the apply (readLeaves); nil when
+// that read failed.
 type indexBatch struct {
 	tree       *btree.Tree
 	pkOf       *TableInfo
 	keys, vals [][]byte
+	from       *btree.Leaf
+}
+
+// readLeaves reads the leaf covering each batch's lowest key as concurrent
+// sub-activities and returns a function that waits for them. The reads
+// touch nothing but their own batch and charge no CPU, so Commit runs them
+// beside the log append and the apply.
+func (t *Txn) readLeaves(ctx env.Ctx, batches []*indexBatch) (wait func()) {
+	return t.start(ctx, "index-leaf", len(batches), func(lctx env.Ctx, i int) {
+		b := batches[i]
+		if l, err := b.tree.ReadLeaf(lctx, slices.MinFunc(b.keys, bytes.Compare)); err == nil {
+			b.from = &l
+		}
+	})
 }
 
 // insertBatch inserts a batch into its tree. On a primary-key tree, a key
@@ -688,7 +734,7 @@ type indexBatch struct {
 // alive this is a duplicate-key violation; otherwise the entry is stale and
 // is replaced.
 func (t *Txn) insertBatch(ctx env.Ctx, b *indexBatch) error {
-	existed, err := b.tree.InsertMany(ctx, b.keys, b.vals)
+	existed, err := b.tree.InsertMany(ctx, b.from, b.keys, b.vals)
 	if err != nil || b.pkOf == nil {
 		return err
 	}

@@ -61,8 +61,9 @@ func schema() *relational.TableSchema {
 
 // crashMidCommit simulates a PN that dies with partially applied updates:
 // it writes the log entry and applies record changes but never sets the
-// commit flag — exactly the state recovery must clean up (§4.4.1).
-func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInfo, rid uint64, tidOut *uint64) {
+// commit flag — exactly the state recovery must clean up (§4.4.1). It
+// returns the log entry and the stamp its append returned.
+func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInfo, rid uint64, tidOut *uint64) (*txlog.Entry, uint64) {
 	t.Helper()
 	txn, err := pn.Begin(ctx)
 	if err != nil {
@@ -72,7 +73,9 @@ func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInf
 	// Reproduce the commit prefix by hand: log entry + applied version.
 	key := relational.RecordKey(table.Schema.ID, rid)
 	log := txlog.New(pn.Store())
-	if err := log.Append(ctx, &txlog.Entry{TID: txn.TID(), PN: pn.ID(), WriteSet: [][]byte{key}}); err != nil {
+	entry := &txlog.Entry{TID: txn.TID(), PN: pn.ID(), WriteSet: [][]byte{key}}
+	entryStamp, err := log.Append(ctx, entry)
+	if err != nil {
 		t.Fatal(err)
 	}
 	raw, stamp, err := pn.Store().Get(ctx, key)
@@ -86,6 +89,7 @@ func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInf
 	}
 	// ... and then the PN "crashes": no index update, no commit flag, no
 	// commit-manager notification.
+	return entry, entryStamp
 }
 
 func TestRecoveryRollsBackUncommitted(t *testing.T) {
@@ -99,7 +103,7 @@ func TestRecoveryRollsBackUncommitted(t *testing.T) {
 			t.Fatal(err)
 		}
 		var deadTid uint64
-		crashMidCommit(t, ctx, pn1, table, rid, &deadTid)
+		deadEntry, deadStamp := crashMidCommit(t, ctx, pn1, table, rid, &deadTid)
 
 		// The partially applied version is present in the raw record.
 		raw, _, _ := pn0.Store().Get(ctx, relational.RecordKey(table.Schema.ID, rid))
@@ -129,7 +133,7 @@ func TestRecoveryRollsBackUncommitted(t *testing.T) {
 		check.Commit(ctx)
 		// And the fence prevents a late commit flag.
 		log := txlog.New(pn0.Store())
-		if err := log.MarkCommitted(ctx, deadTid); err != txlog.ErrFenced {
+		if err := log.MarkCommitted(ctx, deadEntry, deadStamp); err != txlog.ErrFenced {
 			t.Fatalf("expected fence, got %v", err)
 		}
 	})

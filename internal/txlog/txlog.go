@@ -96,48 +96,53 @@ type Log struct {
 // New returns a log bound to the given store client.
 func New(sc *store.Client) *Log { return &Log{sc: sc} }
 
-// Append writes a new entry; the tid guarantees uniqueness so this is an
-// insert (§4.3 Try-Commit: "a transaction must append a new entry to the
-// log" before applying updates).
-func (l *Log) Append(ctx env.Ctx, e *Entry) error {
-	_, err := l.sc.CondPut(ctx, Key(e.TID), e.Encode(), 0)
+// Append writes a new entry and returns its LL stamp; the tid guarantees
+// uniqueness so this is an insert (§4.3 Try-Commit: "a transaction must
+// append a new entry to the log" before applying updates).
+func (l *Log) Append(ctx env.Ctx, e *Entry) (stamp uint64, err error) {
+	stamp, err = l.sc.CondPut(ctx, Key(e.TID), e.Encode(), 0)
 	if err == store.ErrConflict {
-		return fmt.Errorf("txlog: entry for tid %d already exists", e.TID)
+		return 0, fmt.Errorf("txlog: entry for tid %d already exists", e.TID)
 	}
-	return err
+	return stamp, err
 }
 
 // ErrFenced is returned by MarkCommitted when a recovery process has
 // already fenced the transaction off: it must abort.
 var ErrFenced = errors.New("txlog: transaction fenced by recovery")
 
-// MarkCommitted sets the committed flag on tid's entry (§4.3 Commit). It
-// fails with ErrFenced if recovery marked the transaction aborted first.
-func (l *Log) MarkCommitted(ctx env.Ctx, tid uint64) error {
+// MarkCommitted sets the committed flag on e's entry (§4.3 Commit), where
+// stamp is the entry's LL stamp when it read as e: the one Append returned.
+// The first try is a conditional put of the flagged entry on that stamp, so
+// an entry nobody touched since the append takes one round trip. It fails
+// with ErrFenced if recovery marked the transaction aborted first.
+func (l *Log) MarkCommitted(ctx env.Ctx, e *Entry, stamp uint64) error {
 	for {
-		raw, stamp, err := l.sc.Get(ctx, Key(tid))
-		if err != nil {
-			return err
-		}
-		e, err := Decode(raw)
-		if err != nil {
-			return err
-		}
 		if e.Aborted {
 			return ErrFenced
 		}
 		if e.Committed {
 			return nil
 		}
-		e.Committed = true
-		_, err = l.sc.CondPut(ctx, Key(tid), e.Encode(), stamp)
+		flagged := *e
+		flagged.Committed = true
+		_, err := l.sc.CondPut(ctx, Key(e.TID), flagged.Encode(), stamp)
 		if err == nil {
 			return nil
 		}
 		if err != store.ErrConflict {
 			return err
 		}
-		// Raced with another writer (a recovery process); retry.
+		// Raced with another writer (a recovery fence), or a retried put
+		// found its own first attempt applied: read the entry and decide.
+		raw, s, err := l.sc.Get(ctx, Key(e.TID))
+		if err != nil {
+			return err
+		}
+		if e, err = Decode(raw); err != nil {
+			return err
+		}
+		stamp = s
 	}
 }
 

@@ -12,22 +12,31 @@ import (
 	"tell/internal/testutil"
 	"tell/internal/transport"
 	"tell/internal/txlog"
+	"tell/internal/wire"
 )
 
 func runWithLog(t *testing.T, fn func(ctx env.Ctx, l *txlog.Log)) {
 	t.Helper()
+	runWithNet(t, func(ctx env.Ctx, l *txlog.Log, _ *store.Client, _ *transport.SimNet) { fn(ctx, l) })
+}
+
+// runWithNet runs fn on node pn0 with a log over a three-node store, and
+// hands it the log's store client and the network, for fault hooks.
+func runWithNet(t *testing.T, fn func(ctx env.Ctx, l *txlog.Log, sc *store.Client, net *transport.SimNet)) {
+	t.Helper()
 	k := sim.NewKernel(testutil.Seed(t, 5))
 	envr := env.NewSim(k)
 	net := transport.NewSimNet(k, transport.InfiniBand())
-	sc, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 3})
+	cl, err := store.NewCluster(envr, net, store.ClusterConfig{NumNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pn := envr.NewNode("pn0", 2)
-	l := txlog.New(sc.NewClient(pn))
+	sc := cl.NewClient(pn)
+	l := txlog.New(sc)
 	done := false
 	pn.Go("test", func(ctx env.Ctx) {
-		fn(ctx, l)
+		fn(ctx, l, sc, net)
 		done = true
 		k.Stop()
 	})
@@ -81,11 +90,11 @@ func TestEntryCodec(t *testing.T) {
 func TestAppendAndGet(t *testing.T) {
 	runWithLog(t, func(ctx env.Ctx, l *txlog.Log) {
 		e := &txlog.Entry{TID: 7, PN: "pn0", WriteSet: [][]byte{[]byte("k")}}
-		if err := l.Append(ctx, e); err != nil {
+		if _, err := l.Append(ctx, e); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 		// Double append must fail: tids are unique.
-		if err := l.Append(ctx, e); err == nil {
+		if _, err := l.Append(ctx, e); err == nil {
 			t.Fatal("double append succeeded")
 		}
 		got, err := l.Get(ctx, 7)
@@ -95,19 +104,132 @@ func TestAppendAndGet(t *testing.T) {
 	})
 }
 
+// mustAppend appends an entry for tid and returns it with its stamp.
+func mustAppend(t *testing.T, ctx env.Ctx, l *txlog.Log, tid uint64) (*txlog.Entry, uint64) {
+	t.Helper()
+	e := &txlog.Entry{TID: tid, PN: "pn0", WriteSet: [][]byte{[]byte("k")}}
+	stamp, err := l.Append(ctx, e)
+	if err != nil {
+		t.Fatalf("append %d: %v", tid, err)
+	}
+	return e, stamp
+}
+
+// storeOps records the ops of every store request pn0 sends from now on.
+func storeOps(t *testing.T, net *transport.SimNet) *[]wire.OpCode {
+	var ops []wire.OpCode
+	net.SetFaultFn(func(src, dst string, payload []byte) transport.Fault {
+		if src != "pn0" || wire.PeekKind(payload) != wire.KindStoreReq {
+			return transport.Fault{}
+		}
+		req, err := wire.DecodeStoreRequest(payload)
+		if err != nil {
+			t.Errorf("undecodable store request: %v", err)
+			return transport.Fault{}
+		}
+		for _, op := range req.Ops {
+			ops = append(ops, op.Code)
+		}
+		return transport.Fault{}
+	})
+	return &ops
+}
+
 func TestMarkCommitted(t *testing.T) {
 	runWithLog(t, func(ctx env.Ctx, l *txlog.Log) {
-		l.Append(ctx, &txlog.Entry{TID: 9, PN: "pn0"})
-		if err := l.MarkCommitted(ctx, 9); err != nil {
+		e, stamp := mustAppend(t, ctx, l, 9)
+		if err := l.MarkCommitted(ctx, e, stamp); err != nil {
 			t.Fatalf("mark: %v", err)
 		}
 		got, _ := l.Get(ctx, 9)
 		if !got.Committed {
 			t.Fatal("flag not set")
 		}
-		// Idempotent.
-		if err := l.MarkCommitted(ctx, 9); err != nil {
+		// Idempotent, even from the stale stamp.
+		if err := l.MarkCommitted(ctx, e, stamp); err != nil {
 			t.Fatalf("re-mark: %v", err)
+		}
+	})
+}
+
+// Setting the flag on an entry nobody touched since the append is one
+// store request: a conditional put on the stamp Append returned.
+func TestMarkCommittedIsOneCondPut(t *testing.T) {
+	runWithNet(t, func(ctx env.Ctx, l *txlog.Log, _ *store.Client, net *transport.SimNet) {
+		e, stamp := mustAppend(t, ctx, l, 9)
+		ops := storeOps(t, net)
+		if err := l.MarkCommitted(ctx, e, stamp); err != nil {
+			t.Fatalf("mark: %v", err)
+		}
+		net.SetFaultFn(nil)
+		if len(*ops) != 1 || (*ops)[0] != wire.OpCondPut {
+			t.Fatalf("MarkCommitted sent ops %v, want one CondPut", *ops)
+		}
+		if got, err := l.Get(ctx, 9); err != nil || !got.Committed {
+			t.Fatalf("get: %+v %v", got, err)
+		}
+	})
+}
+
+// A recovery fence between the append and the flag moves the stamp, so the
+// flag's put fails; the entry is read back, seen aborted, and the commit is
+// refused.
+func TestMarkCommittedAfterFence(t *testing.T) {
+	runWithLog(t, func(ctx env.Ctx, l *txlog.Log) {
+		e, stamp := mustAppend(t, ctx, l, 9)
+		if fenced, committed, err := l.MarkAborted(ctx, 9); !fenced || committed || err != nil {
+			t.Fatalf("fence: %v %v %v", fenced, committed, err)
+		}
+		if err := l.MarkCommitted(ctx, e, stamp); err != txlog.ErrFenced {
+			t.Fatalf("mark after fence: %v, want ErrFenced", err)
+		}
+		if got, err := l.Get(ctx, 9); err != nil || !got.Aborted || got.Committed {
+			t.Fatalf("entry after fence: %+v %v", got, err)
+		}
+	})
+}
+
+// A flag put whose response was lost is retried. The storage node's
+// exactly-once window answers the retry with the first attempt's result;
+// where that window was lost (a fail-over), the retry conflicts with its
+// own first attempt, and the read-back finds the entry committed. Both
+// end committed.
+func TestMarkCommittedAfterLostResponse(t *testing.T) {
+	runWithNet(t, func(ctx env.Ctx, l *txlog.Log, sc *store.Client, net *transport.SimNet) {
+		e, stamp := mustAppend(t, ctx, l, 9)
+		dropped := false
+		net.SetFaultFn(func(src, dst string, payload []byte) transport.Fault {
+			if dst == "pn0" && wire.PeekKind(payload) == wire.KindStoreResp && !dropped {
+				dropped = true
+				return transport.Fault{Drop: true}
+			}
+			return transport.Fault{}
+		})
+		if err := l.MarkCommitted(ctx, e, stamp); err != nil {
+			t.Fatalf("mark with a lost response: %v", err)
+		}
+		net.SetFaultFn(nil)
+		if got, err := l.Get(ctx, 9); !dropped || err != nil || !got.Committed {
+			t.Fatalf("dropped %v, entry %+v %v", dropped, got, err)
+		}
+
+		// The first attempt applied and its retry finds the stamp moved.
+		e, stamp = mustAppend(t, ctx, l, 10)
+		flagged := *e
+		flagged.Committed = true
+		if _, err := sc.CondPut(ctx, txlog.Key(10), flagged.Encode(), stamp); err != nil {
+			t.Fatal(err)
+		}
+		ops := storeOps(t, net)
+		if err := l.MarkCommitted(ctx, e, stamp); err != nil {
+			t.Fatalf("mark conflicting with its own write: %v", err)
+		}
+		net.SetFaultFn(nil)
+		if len(*ops) != 2 || (*ops)[0] != wire.OpCondPut || (*ops)[1] != wire.OpGet {
+			t.Fatalf("MarkCommitted sent ops %v, want a CondPut and a Get", *ops)
+		}
+		if got, err := l.Get(ctx, 10); err != nil || !got.Committed || got.Aborted {
+			t.Fatalf("entry: %+v %v", got, err)
 		}
 	})
 }
@@ -115,7 +237,7 @@ func TestMarkCommitted(t *testing.T) {
 func TestScanBackwardOrderAndBounds(t *testing.T) {
 	runWithLog(t, func(ctx env.Ctx, l *txlog.Log) {
 		for tid := uint64(1); tid <= 20; tid++ {
-			l.Append(ctx, &txlog.Entry{TID: tid, PN: "pn0"})
+			mustAppend(t, ctx, l, tid)
 		}
 		var got []uint64
 		if err := l.ScanBackward(ctx, 5, 15, func(e *txlog.Entry) bool {
@@ -147,7 +269,7 @@ func TestScanBackwardOrderAndBounds(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	runWithLog(t, func(ctx env.Ctx, l *txlog.Log) {
 		for tid := uint64(1); tid <= 10; tid++ {
-			l.Append(ctx, &txlog.Entry{TID: tid, PN: "pn0"})
+			mustAppend(t, ctx, l, tid)
 		}
 		n, err := l.Truncate(ctx, 6)
 		if err != nil || n != 5 {
@@ -184,7 +306,7 @@ func TestScanStopsAtCorruptEntry(t *testing.T) {
 	pn.Go("test", func(ctx env.Ctx) {
 		defer k.Stop()
 		for tid := uint64(1); tid <= 5; tid++ {
-			if err := l.Append(ctx, &txlog.Entry{TID: tid, PN: "pn0"}); err != nil {
+			if _, err := l.Append(ctx, &txlog.Entry{TID: tid, PN: "pn0"}); err != nil {
 				t.Errorf("append %d: %v", tid, err)
 				return
 			}
