@@ -76,12 +76,13 @@ sanitize:
 # simulator's steady state (sleep, resource, queue, satisfied timeout, pooled
 # spawn) at zero, a future at one, a SimNet round trip at three, a connection
 # lookup and a retried call at zero, a batched B+tree insert into one leaf at
-# one store write, a root split racing another writer's root growth at no
-# error, and every benchmark runs for one iteration so a broken hot path
-# fails fast in CI.
+# one store write, a B+tree grown from two writers under every single-message
+# delay with every returned key readable and no separator post lost, a
+# stalled root growth finished by the next split, and every benchmark runs
+# for one iteration so a broken hot path fails fast in CI.
 bench-smoke:
 	$(GO) test ./internal/wire -run 'ZeroAlloc|OneAlloc|PutBufRejects' -bench . -benchtime 1x
-	$(GO) test ./internal/btree -run 'DecodeNodeAllocs|InsertManyWritesLeafOnce|RootGrowthRaceSweep' -bench DecodeNode -benchtime 1x
+	$(GO) test ./internal/btree -run 'DecodeNodeAllocs|InsertManyWritesLeafOnce|RootGrowthRaceSweep|StalledRootGrowthIsFinished' -bench DecodeNode -benchtime 1x
 	$(GO) test ./internal/resil -run 'WindowCommitAllocs|CallAllocs' -bench WindowCommitFull -benchtime 1x
 	$(GO) test ./internal/store -run 'CheckpointAllocs' -bench Checkpoint -benchtime 1x
 	$(GO) test ./internal/sim -run 'SteadyStateAllocs' -bench . -benchtime 1x

@@ -14,6 +14,7 @@ import (
 	"tell/internal/store"
 	"tell/internal/testutil"
 	"tell/internal/transport"
+	"tell/internal/wire"
 )
 
 type treeHarness struct {
@@ -477,64 +478,98 @@ func TestTreePropertyRandomOpsAgainstMap(t *testing.T) {
 	})
 }
 
-// TestRootGrowthRaceSweep splits a fresh tree's root leaf from two handles
-// at once while one network message at a time is delayed by 5 ms. A writer
-// whose split needs a parent level that another writer's root growth has
-// not yet installed must wait for it, not fail; every key must end up in
-// the tree. The sweep covers every message index of an undisturbed run.
+// TestRootGrowthRaceSweep grows a fresh tree from two writer handles at
+// once, beside a reader on a third node, while one network message of the
+// writers' nodes at a time is delayed by 5 ms. It checks the B-link
+// invariant at every step of every schedule: a split returns before its
+// separator reaches the parent level, yet the reader finds every key whose
+// insert has returned, by descents plus right moves. A writer whose
+// separator needs a parent level that another writer's root growth has not
+// yet installed finishes that growth itself. Once every post has landed,
+// each node below the root is a child of a node on the level above. The
+// sweep covers every message index of an undisturbed run.
 func TestRootGrowthRaceSweep(t *testing.T) {
-	const perHandle = 12
+	const perHandle = 10
 	// run inserts with the delayAt-th message leg delayed (-1: none) and
 	// returns the number of legs sent and the first failure.
 	run := func(delayAt int) (legs int, failure string) {
 		h := newTreeHarness(t, 2)
 		h.net.SetFaultFn(func(src, dst string, payload []byte) transport.Fault {
+			if src == "reader" || dst == "reader" {
+				return transport.Fault{}
+			}
 			legs++
 			if legs-1 == delayAt {
 				return transport.Fault{Delay: 5 * time.Millisecond}
 			}
 			return transport.Fault{}
 		})
+		fail := func(format string, args ...any) {
+			if failure == "" {
+				failure = fmt.Sprintf(format, args...)
+			}
+		}
 		setup, done := false, 0
+		var returned []int // keys whose insert has returned, in order
 		h.pn.Go("create", func(ctx env.Ctx) {
 			if err := btree.Create(ctx, "t", h.client); err != nil {
-				failure = err.Error()
+				fail("%v", err)
 			}
 			setup = true
 		})
+		var trees []*btree.Tree
 		for p := 0; p < 2; p++ {
 			node := h.envr.NewNode(fmt.Sprintf("pn%d", p+1), 2)
 			tr := btree.New("t", h.cluster.NewClient(node))
 			tr.MaxKeys = 3
+			trees = append(trees, tr)
 			node.Go("inserter", func(ctx env.Ctx) {
 				for !setup {
 					ctx.Sleep(time.Microsecond)
 				}
 				for i := 0; i < perHandle; i++ {
-					if _, err := tr.Insert(ctx, key(2*i+p), val(i)); err != nil && failure == "" {
-						failure = fmt.Sprintf("handle %d insert %d: %v", p, i, err)
+					if _, err := tr.Insert(ctx, key(2*i+p), val(i)); err != nil {
+						fail("handle %d insert %d: %v", p, i, err)
+					} else {
+						returned = append(returned, 2*i+p)
 					}
 				}
 				done++
 			})
 		}
-		h.pn.Go("checker", func(ctx env.Ctx) {
-			for done < 2 {
-				ctx.Sleep(time.Millisecond)
-			}
-			verify := btree.New("t", h.client)
-			for i := 0; i < 2*perHandle && failure == ""; i++ {
-				if _, ok, err := verify.Lookup(ctx, key(i)); err != nil || !ok {
-					failure = fmt.Sprintf("key %d missing: %v", i, err)
+		reader := h.envr.NewNode("reader", 2)
+		rt := btree.New("t", h.cluster.NewClient(reader))
+		trees = append(trees, rt)
+		reader.Go("reader", func(ctx env.Ctx) {
+			// After each insert returns, look up every key returned so far.
+			for checked := 0; failure == "" && (checked < len(returned) || done < 2); {
+				if checked == len(returned) {
+					ctx.Sleep(20 * time.Microsecond)
+					continue
 				}
+				checked = len(returned)
+				for _, i := range returned[:checked] {
+					if _, ok, err := rt.Lookup(ctx, key(i)); err != nil || !ok {
+						fail("reader: key %d missing after its insert returned: %v", i, err)
+						break
+					}
+				}
+			}
+			for _, tr := range trees {
+				for tr.Posting() > 0 {
+					ctx.Sleep(time.Millisecond)
+				}
+			}
+			if lost, err := rt.Unparented(ctx); err != nil || len(lost) > 0 {
+				fail("nodes %v have no parent after the posts drained: %v", lost, err)
 			}
 			h.k.Stop()
 		})
 		if err := h.k.RunUntil(sim.Time(60 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		if done != 2 && failure == "" {
-			failure = "inserters did not finish"
+		if done != 2 {
+			fail("inserters did not finish")
 		}
 		h.k.Shutdown()
 		return legs, failure
@@ -548,6 +583,79 @@ func TestRootGrowthRaceSweep(t *testing.T) {
 			t.Fatalf("message %d of %d delayed by 5 ms: %s", at, legs, failure)
 		}
 	}
+}
+
+// TestStalledRootGrowthIsFinished cuts a writer off the network when it
+// sends the root swap of its first root growth, so that growth stops
+// between the root split and the swap: the root pointer stays on the split
+// leaf, which now has a right sibling. A later split from another handle
+// needs the level above. Its separator post must finish the stalled growth
+// itself, at once, instead of waiting for a writer that will never come
+// back, and leave every node under a parent.
+func TestStalledRootGrowthIsFinished(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	cut := false
+	h.net.SetFaultFn(func(src, dst string, payload []byte) transport.Fault {
+		if src == "stalled" && wire.PeekKind(payload) == wire.KindStoreReq {
+			req, err := wire.DecodeStoreRequest(payload)
+			if err != nil {
+				t.Errorf("undecodable store request: %v", err)
+			}
+			for _, op := range req.Ops {
+				cut = cut || op.Code == wire.OpCondPut && string(op.Key) == "idx/t/root" && op.Stamp != 0
+			}
+		}
+		return transport.Fault{Drop: cut && (src == "stalled" || dst == "stalled")}
+	})
+	stalledNode := h.envr.NewNode("stalled", 2)
+	stalled := btree.New("t", h.cluster.NewClient(stalledNode))
+	stalled.MaxKeys = 3
+	stalledNode.Go("writer", func(ctx env.Ctx) {
+		if err := btree.Create(ctx, "t", h.client); err != nil {
+			t.Error(err)
+		}
+		// The fourth key splits the root leaf.
+		for i := 0; i < 4; i++ {
+			stalled.Insert(ctx, key(10*i), val(i))
+		}
+	})
+	h.run(t, func(ctx env.Ctx) {
+		for !cut && ctx.Now() < time.Second {
+			ctx.Sleep(10 * time.Microsecond)
+		}
+		if !cut {
+			t.Fatal("the writer sent no root swap")
+		}
+		tr := btree.New("t", h.client)
+		tr.MaxKeys = 3
+		if lost, err := tr.Unparented(ctx); err != nil || len(lost) != 1 {
+			t.Fatalf("the root growth is not stalled: unparented nodes %v, %v", lost, err)
+		}
+		// The first split is of the root leaf's right sibling, whose
+		// separator needs the missing level; the last is of the root leaf.
+		start := ctx.Now()
+		for i := 3; i >= 0; i-- {
+			if _, err := tr.Insert(ctx, key(10*i+5), val(i)); err != nil {
+				t.Fatalf("insert after the stalled growth: %v", err)
+			}
+		}
+		for tr.Posting() > 0 {
+			ctx.Sleep(10 * time.Microsecond)
+		}
+		if took := ctx.Now() - start; took > 10*time.Millisecond {
+			t.Errorf("inserts and their posts took %v beside a stalled root growth", took)
+		}
+		if lost, err := tr.Unparented(ctx); err != nil || len(lost) > 0 {
+			t.Errorf("nodes %v have no parent: %v", lost, err)
+		}
+		for i := 0; i < 4; i++ {
+			for _, k := range []int{10 * i, 10*i + 5} {
+				if _, ok, err := tr.Lookup(ctx, key(k)); err != nil || !ok {
+					t.Errorf("key %d: found=%v err=%v", k, ok, err)
+				}
+			}
+		}
+	})
 }
 
 // TestConcurrentOverlappingInsertMany runs batched inserts with overlapping

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"tell/internal/env"
 	"tell/internal/sanitize"
@@ -32,11 +31,17 @@ type Tree struct {
 	// CacheInner toggles the inner-node cache (§5.3.1).
 	CacheInner bool
 
-	mu        sanitize.Mutex
-	cache     map[uint64]*node
-	root      *rootPtr
-	idNext    uint64
-	idEnd     uint64
+	mu    sanitize.Mutex
+	cache map[uint64]*node
+	root  *rootPtr
+	// Node ids come from ranges of idRangeSize reserved on the tree's
+	// counter: [idNext, idEnd] is the range in use (empty when idNext >
+	// idEnd), spare the high end of one reserved in the background (0:
+	// none), refilling whether that reservation is in flight.
+	idNext, idEnd, spare uint64
+	refilling            bool
+	// posting holds the right-node ids whose separator post is running.
+	posting   map[uint64]bool
 	reads     uint64
 	cacheHits uint64
 }
@@ -60,6 +65,8 @@ func New(name string, sc *store.Client) *Tree {
 		MaxKeys:    Fanout,
 		CacheInner: true,
 		cache:      make(map[uint64]*node),
+		idNext:     1,
+		posting:    make(map[uint64]bool),
 	}
 	t.mu.SetName("btree.Tree.mu")
 	return t
@@ -95,13 +102,23 @@ func Create(ctx env.Ctx, name string, sc *store.Client) error {
 	return nil
 }
 
-// allocID reserves a fresh node id (range-cached per handle).
+// allocID reserves a fresh node id. A spare range is reserved in the
+// background (refillIDs) on the handle's first ReadLeaf and whenever the
+// range in use is half spent, so a split waits on the counter only when
+// both are empty.
 func (t *Tree) allocID(ctx env.Ctx) (uint64, error) {
 	t.mu.Lock()
-	if t.idNext <= t.idEnd && t.idNext != 0 {
+	if t.idNext > t.idEnd && t.spare != 0 {
+		t.idNext, t.idEnd, t.spare = t.spare-idRangeSize+1, t.spare, 0
+	}
+	if t.idNext <= t.idEnd {
 		id := t.idNext
 		t.idNext++
+		half := t.idEnd-id < idRangeSize/2
 		t.mu.Unlock()
+		if half {
+			t.refillIDs(ctx)
+		}
 		return id, nil
 	}
 	t.mu.Unlock()
@@ -110,12 +127,31 @@ func (t *Tree) allocID(ctx env.Ctx) (uint64, error) {
 		return 0, err
 	}
 	t.mu.Lock()
-	t.idNext = uint64(hi) - idRangeSize + 1
-	t.idEnd = uint64(hi)
-	id := t.idNext
-	t.idNext++
+	t.idNext, t.idEnd = uint64(hi)-idRangeSize+2, uint64(hi)
 	t.mu.Unlock()
-	return id, nil
+	return uint64(hi) - idRangeSize + 1, nil
+}
+
+// refillIDs reserves a spare id range in a detached activity, unless one is
+// reserved or on its way. After a failed reservation the next trigger tries
+// again; a split that finds both ranges empty reserves one itself.
+func (t *Tree) refillIDs(ctx env.Ctx) {
+	t.mu.Lock()
+	if t.spare != 0 || t.refilling {
+		t.mu.Unlock()
+		return
+	}
+	t.refilling = true
+	t.mu.Unlock()
+	ctx.Go("btree-ids", func(ctx env.Ctx) {
+		hi, err := t.sc.CounterAdd(ctx, ctrKey(t.name), idRangeSize)
+		t.mu.Lock()
+		t.refilling = false
+		if err == nil {
+			t.spare = uint64(hi)
+		}
+		t.mu.Unlock()
+	})
 }
 
 // loadRoot returns the (possibly cached) root pointer.
@@ -190,14 +226,20 @@ func (t *Tree) invalidateAll() {
 
 // pathEntry is a visited node during descent.
 type pathEntry struct {
-	n     *node
-	stamp uint64 // only set for nodes fetched fresh (leaves)
+	n *node
+	// stamp is the node's LL stamp when it was read from the store, and 0
+	// when it came from the inner-node cache (stored nodes never carry 0).
+	stamp uint64
 }
 
 // descend walks from the root to the leaf covering key, applying B-link
 // right-moves at every level, and returns the visited path (root first).
-// If moves happened at leaf level, the cached parent is refreshed per
-// §5.3.1's consistency rule.
+// If moves happened below the root, the cached parent is refreshed per
+// §5.3.1's consistency rule. A move right from a child of a parent read
+// from the store crosses a split whose separator that parent lacks: the
+// walk starts the split's separator post (postSeparator) and goes on, so a
+// post lost to a crash or an error costs longer walks until the next
+// walker that crosses finishes it.
 func (t *Tree) descend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
 	for attempt := 0; attempt < retries; attempt++ {
 		path, err := t.tryDescend(ctx, key)
@@ -246,6 +288,9 @@ func (t *Tree) tryDescend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
 		// B-link move right while the key is beyond this node's range.
 		moved := 0
 		for !n.covers(key) && n.next != 0 {
+			if len(path) > 0 && path[len(path)-1].stamp != 0 {
+				t.postSeparator(ctx, path, n.level, n.highKey, n.id, n.next, postRepair)
+			}
 			id = n.next
 			n, stamp, err = t.loadNode(ctx, id, wantLeaf)
 			if err != nil {
@@ -285,8 +330,16 @@ type Leaf struct {
 	path []pathEntry
 }
 
-// ReadLeaf descends to the leaf covering key.
+// ReadLeaf descends to the leaf covering key. Until the handle has taken
+// its first node-id range into use, it also makes sure one is reserved or
+// on its way (refillIDs), ahead of the handle's first split.
 func (t *Tree) ReadLeaf(ctx env.Ctx, key []byte) (Leaf, error) {
+	t.mu.Lock()
+	fresh := t.idEnd == 0
+	t.mu.Unlock()
+	if fresh {
+		t.refillIDs(ctx)
+	}
 	path, err := t.descend(ctx, key)
 	return Leaf{key: key, path: path}, err
 }
@@ -428,8 +481,10 @@ func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, path
 }
 
 // splitLeafAndInsert installs nl (already containing the new keys and
-// exceeding MaxKeys) as a split pair. Returns done=false to signal a raced
-// conflict needing a fresh retry.
+// exceeding MaxKeys) as a split pair and returns as soon as both halves are
+// in the store; the separator reaches the parent in the background
+// (postSeparator). Returns done=false to signal a raced conflict needing a
+// fresh retry.
 func (t *Tree) splitLeafAndInsert(ctx env.Ctx, path []pathEntry, nl *node, stamp uint64) (bool, error) {
 	rightID, err := t.allocID(ctx)
 	if err != nil {
@@ -471,42 +526,66 @@ func (t *Tree) splitLeafAndInsert(ctx env.Ctx, path []pathEntry, nl *node, stamp
 		sc.R.Instant(sc.Span, ctx.Node().Name(), "btree-split-leaf",
 			int64(left.id), int64(rightID))
 	}
-	// 3. Post the separator to the parent level. Readers already work via
-	// the B-link pointer; this step only restores fast routing.
-	if err := t.insertSeparator(ctx, path, len(path)-2, sep, rightID, left.id); err != nil {
-		return false, err
-	}
+	// 3. Post the separator to the parent level off the caller's path:
+	// readers already reach the right node through the B-link pointer, so
+	// the separator only restores fast routing.
+	t.postSeparator(ctx, path[:len(path)-1], 0, sep, left.id, rightID, postSplit)
 	return true, nil
 }
 
-// insertSeparator inserts (sep → rightID) into the inner level pathIdx
-// (path[pathIdx] is the remembered parent; -1 means the split node was the
-// root). leftID is the split node, used for idempotence and root creation.
-func (t *Tree) insertSeparator(ctx env.Ctx, path []pathEntry, pathIdx int, sep []byte, rightID, leftID uint64) error {
-	if pathIdx < 0 {
-		return t.growRoot(ctx, sep, leftID, rightID)
+// Causes of a separator post, recorded with its trace instant.
+const (
+	postSplit  = 0 // the splitting writer
+	postRepair = 1 // a walker that crossed the split's right link
+)
+
+// postSeparator installs (sep → rightID), the right half of a split of
+// leftID at level, one level up (insertSeparator) in a detached activity,
+// unless a post of rightID from this handle is already running. The caller
+// goes on at once: until the post lands, walkers reach the right node by
+// moving right from leftID. A post that fails is dropped; the next walker
+// that moves right from leftID under a parent read from the store starts
+// it again.
+func (t *Tree) postSeparator(ctx env.Ctx, up []pathEntry, level int, sep []byte, leftID, rightID uint64, cause int64) {
+	t.mu.Lock()
+	if t.posting[rightID] {
+		t.mu.Unlock()
+		return
 	}
-	parentID := path[pathIdx].n.id
-	level := path[pathIdx].n.level
+	t.posting[rightID] = true
+	t.mu.Unlock()
+	if sc := ctx.Trace(); sc.R.Enabled() {
+		sc.R.Instant(sc.Span, ctx.Node().Name(), "btree-post-separator", int64(rightID), cause)
+	}
+	ctx.Go("btree-post", func(ctx env.Ctx) {
+		// A post that fails is finished by a later walker (see above).
+		_ = t.insertSeparator(ctx, up, level, sep, leftID, rightID)
+		t.mu.Lock()
+		delete(t.posting, rightID)
+		t.mu.Unlock()
+	})
+}
+
+// insertSeparator inserts (sep → rightID), the right half of a split of
+// leftID at level, into the node one level up that covers sep. up is the
+// path above the split node, root first: the search starts at its last
+// entry, and an empty up means the split node was the root when it was
+// read.
+func (t *Tree) insertSeparator(ctx env.Ctx, up []pathEntry, level int, sep []byte, leftID, rightID uint64) error {
+	if len(up) == 0 {
+		return t.growRoot(ctx, level, sep, leftID, rightID)
+	}
+	parentID := up[len(up)-1].n.id
 	for attempt := 0; attempt < retries; attempt++ {
-		raw, stamp, err := t.sc.Get(ctx, nodeKey(t.name, parentID))
+		parent, stamp, err := t.loadNodeFresh(ctx, parentID)
 		if err == store.ErrNotFound {
 			// Parent vanished (e.g. superseded root): re-descend to
 			// locate the current parent at this level.
-			p, err := t.descendToLevel(ctx, sep, level)
-			if err != nil {
+			if parentID, err = t.descendToLevel(ctx, sep, level+1); err != nil {
 				return err
 			}
-			parentID = p
 			continue
 		}
-		if err != nil {
-			return err
-		}
-		t.mu.Lock()
-		t.reads++
-		t.mu.Unlock()
-		parent, err := decodeNode(parentID, raw)
 		if err != nil {
 			return err
 		}
@@ -519,8 +598,8 @@ func (t *Tree) insertSeparator(ctx env.Ctx, path []pathEntry, pathIdx int, sep [
 			continue
 		}
 		if parent.hasChild(rightID) {
-			t.invalidate(parent.id)
-			return nil // another retry already posted it
+			t.cacheInner(parent)
+			return nil // another post already installed it
 		}
 		np := parent.clone()
 		np.insertChild(sep, rightID)
@@ -531,11 +610,11 @@ func (t *Tree) insertSeparator(ctx env.Ctx, path []pathEntry, pathIdx int, sep [
 				}
 				return err
 			}
-			t.invalidate(parentID)
+			t.cacheInner(np)
 			return nil
 		}
-		// Parent overflows: split it and recurse.
-		if err := t.splitInner(ctx, path, pathIdx, np, stamp); err != nil {
+		// Parent overflows: split it and post one level further up.
+		if err := t.splitInner(ctx, up[:len(up)-1], np, stamp); err != nil {
 			if err == errRaced {
 				continue
 			}
@@ -546,12 +625,21 @@ func (t *Tree) insertSeparator(ctx env.Ctx, path []pathEntry, pathIdx int, sep [
 	return ErrRetriesExhausted
 }
 
+// cacheInner puts an inner node as just read or written into the cache.
+func (t *Tree) cacheInner(n *node) {
+	if t.CacheInner {
+		t.mu.Lock()
+		t.cache[n.id] = n
+		t.mu.Unlock()
+	}
+}
+
 // errRaced signals an internal optimistic conflict to the caller's loop.
 var errRaced = errors.New("btree: raced")
 
 // splitInner installs the overflowing inner node np as a split pair and
-// posts the promoted separator one level up.
-func (t *Tree) splitInner(ctx env.Ctx, path []pathEntry, pathIdx int, np *node, stamp uint64) error {
+// posts the promoted separator one level up; up is the path above np.
+func (t *Tree) splitInner(ctx env.Ctx, up []pathEntry, np *node, stamp uint64) error {
 	rightID, err := t.allocID(ctx)
 	if err != nil {
 		return err
@@ -584,22 +672,18 @@ func (t *Tree) splitInner(ctx env.Ctx, path []pathEntry, pathIdx int, np *node, 
 		}
 		return err
 	}
-	t.invalidate(left.id)
+	t.cacheInner(left)
 	if sc := ctx.Trace(); sc.R.Enabled() {
 		sc.R.Instant(sc.Span, ctx.Node().Name(), "btree-split-inner",
 			int64(left.id), int64(rightID))
 	}
-	return t.insertSeparator(ctx, path, pathIdx-1, promoted, rightID, left.id)
+	return t.insertSeparator(ctx, up, np.level, promoted, left.id, rightID)
 }
 
-// growRoot installs a new root above a split old root.
-func (t *Tree) growRoot(ctx env.Ctx, sep []byte, leftID, rightID uint64) error {
-	// The new root sits one level above the split (left) node.
-	leftNode, _, err := t.loadNodeFresh(ctx, leftID)
-	if err != nil {
-		return err
-	}
-	parentLevel := leftNode.level + 1
+// growRoot installs a new root above leftID, a split node at level that
+// was the root, with rightID its right half. When the root has moved on
+// since, the separator goes into the level above instead.
+func (t *Tree) growRoot(ctx env.Ctx, level int, sep []byte, leftID, rightID uint64) error {
 	for attempt := 0; attempt < retries; attempt++ {
 		raw, stamp, err := t.sc.Get(ctx, rootKey(t.name))
 		if err != nil {
@@ -610,14 +694,12 @@ func (t *Tree) growRoot(ctx env.Ctx, sep []byte, leftID, rightID uint64) error {
 			return err
 		}
 		if rp.rootID != leftID {
-			// Someone else already grew the root; our separator must
-			// go into the existing parent level instead.
-			parentID, err := t.descendToLevel(ctx, sep, parentLevel)
+			parentID, err := t.descendToLevel(ctx, sep, level+1)
 			if err != nil {
 				return err
 			}
-			fake := []pathEntry{{n: &node{id: parentID, level: parentLevel}}}
-			return t.insertSeparator(ctx, fake, 0, sep, rightID, leftID)
+			up := []pathEntry{{n: &node{id: parentID, level: level + 1}}}
+			return t.insertSeparator(ctx, up, level, sep, leftID, rightID)
 		}
 		newRootID, err := t.allocID(ctx)
 		if err != nil {
@@ -625,7 +707,7 @@ func (t *Tree) growRoot(ctx env.Ctx, sep []byte, leftID, rightID uint64) error {
 		}
 		newRoot := &node{
 			id:       newRootID,
-			level:    leftNode.level + 1,
+			level:    level + 1,
 			keys:     [][]byte{sep},
 			children: []uint64{leftID, rightID},
 		}
@@ -665,25 +747,24 @@ func (t *Tree) loadNodeFresh(ctx env.Ctx, id uint64) (*node, uint64, error) {
 	return n, stamp, err
 }
 
-// rootGrowthWait bounds how long descendToLevel waits for another writer's
-// root growth; rootGrowthPoll is how often it re-reads the root meanwhile.
-const (
-	rootGrowthWait = time.Second
-	rootGrowthPoll = 50 * time.Microsecond
-)
-
 // descendToLevel finds the id of the node at the given level covering key,
-// bypassing the cache. A root below that level means another writer has
-// split the old root and not yet installed the new one above it: the root
-// is re-read until it has grown, for up to rootGrowthWait.
+// bypassing the cache. A root below that level with a right sibling is a
+// root growth half done: a writer split the root and has not installed the
+// new root above it, and may never. The walk finishes that growth itself,
+// as any writer may, and looks again.
 func (t *Tree) descendToLevel(ctx env.Ctx, key []byte, level int) (uint64, error) {
 	rp, err := t.loadRoot(ctx, true)
-	for deadline := ctx.Now() + rootGrowthWait; err == nil && rp.height < level; {
-		if ctx.Now() >= deadline {
+	for attempt := 0; err == nil && rp.height < level; attempt++ {
+		var root *node
+		if root, _, err = t.loadNodeFresh(ctx, rp.rootID); err != nil {
+			return 0, err
+		}
+		if root.next == 0 || attempt == retries {
 			return 0, fmt.Errorf("btree: level %d not found", level)
 		}
-		ctx.Sleep(rootGrowthPoll)
-		rp, err = t.loadRoot(ctx, true)
+		if err = t.growRoot(ctx, root.level, root.highKey, root.id, root.next); err == nil {
+			rp, err = t.loadRoot(ctx, true)
+		}
 	}
 	if err != nil {
 		return 0, err
