@@ -135,9 +135,11 @@ obs-golden:
 
 # Everything CI runs, in order (race on the fast packages — the engine core
 # and TPC-C, whose read rounds write shared result slices from concurrent
-# sub-activities, among them — and the embedded real-environment stress
-# test only). .github/workflows/ci.yml runs this
-# target, so this is the one list of CI steps.
+# sub-activities, and the commit-manager client, whose sender activity sets
+# a finish future that the transaction's submitter waits on, among them —
+# and the embedded real-environment stress test only).
+# .github/workflows/ci.yml runs this target, so this is the one list of CI
+# steps.
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
@@ -145,7 +147,8 @@ ci:
 	$(GO) test -C bench .
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim ./internal/transport \
 		./internal/metrics ./internal/btree ./internal/lint ./internal/deploy \
-		./internal/core ./internal/tpcc ./internal/txlog ./internal/recovery
+		./internal/core ./internal/tpcc ./internal/txlog ./internal/recovery \
+		./internal/commitmgr
 	$(GO) test -race -run TestConcurrentTransactStress .
 	$(MAKE) assembly-gate
 	$(MAKE) chaos-race

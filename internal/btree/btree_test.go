@@ -361,6 +361,48 @@ func TestCacheStaysCorrectAcrossRemoteSplits(t *testing.T) {
 	})
 }
 
+// A handle that cached the root pointer before the root grew finds a right
+// sibling at its top level. It reloads the pointer and descends from the new
+// root, where walking the old root's level would read every node on it on
+// every descent (499 leaf reads for the highest of 2,000 keys at MaxKeys 8).
+func TestStaleRootPointerIsRefreshed(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	h.run(t, func(ctx env.Ctx) {
+		btree.Create(ctx, "t", h.client)
+		stale := btree.New("t", h.client)
+		if _, _, err := stale.Lookup(ctx, key(0)); err != nil {
+			t.Fatal(err) // caches the root pointer: the tree is one leaf
+		}
+		nodeB := h.envr.NewNode("pnB", 4)
+		b := btree.New("t", h.cluster.NewClient(nodeB))
+		b.MaxKeys = 8
+		for i := 0; i < 2000; i++ {
+			if _, err := b.Insert(ctx, key(i), val(i)); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		}
+		for b.Posting() > 0 {
+			ctx.Sleep(10 * time.Microsecond)
+		}
+		lookupReads := func(tr *btree.Tree) uint64 {
+			before, _ := tr.Stats()
+			if v, ok, err := tr.Lookup(ctx, key(1999)); err != nil || !ok || !bytes.Equal(v, val(1999)) {
+				t.Fatalf("lookup: %v %v", ok, err)
+			}
+			after, _ := tr.Stats()
+			return after - before
+		}
+		fresh := lookupReads(btree.New("t", h.cluster.NewClient(h.pn)))
+		// The first descent still reads the old root before it reloads.
+		if got := lookupReads(stale); got > fresh+1 {
+			t.Errorf("first lookup through a stale root pointer read %d nodes, a fresh handle %d", got, fresh)
+		}
+		if got := lookupReads(stale); got > fresh {
+			t.Errorf("second lookup through a once-stale root pointer read %d nodes, a fresh handle %d", got, fresh)
+		}
+	})
+}
+
 func TestBulkBuildMatchesInsertedTree(t *testing.T) {
 	h := newTreeHarness(t, 3)
 	const n = 400

@@ -271,6 +271,7 @@ func (t *Tree) tryDescend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
 	var path []pathEntry
 	id := rp.rootID
 	level := rp.height
+	reloaded := false
 	for {
 		wantLeaf := level == 0
 		n, stamp, err := t.loadNode(ctx, id, wantLeaf)
@@ -284,6 +285,17 @@ func (t *Tree) tryDescend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
 				}
 			}
 			return nil, err
+		}
+		// A right sibling at the top level means the root has grown since
+		// the pointer was cached (or is growing now). Reload the pointer
+		// once and descend from the new root, if there is one, instead of
+		// walking the old root's whole level on every descent.
+		if len(path) == 0 && !reloaded && !n.covers(key) && n.next != 0 {
+			reloaded = true
+			if rp2, err := t.loadRoot(ctx, true); err == nil && rp2.rootID != id {
+				id, level = rp2.rootID, rp2.height
+				continue
+			}
 		}
 		// B-link move right while the key is beyond this node's range.
 		moved := 0

@@ -37,7 +37,10 @@ var ErrClosed = errors.New("commitmgr: client closed")
 // protocol. Every call still blocks until its operation is acknowledged, so
 // ordering guarantees are unchanged: when Committed returns, a subsequent
 // Start anywhere sees the commit (modulo multi-manager sync lag, as
-// before). Set Coalesce=false for the original one-RPC-per-call protocol.
+// before). QueueFinish splits a finish into queueing the note and waiting
+// for its acknowledgement, so a PN worker can queue it and leave the wait
+// to the transaction's caller. Set Coalesce=false for the original
+// one-RPC-per-call protocol.
 type Client struct {
 	envr env.Full
 	node env.Node
@@ -217,11 +220,15 @@ type startWaiter struct {
 	enq  time.Duration
 }
 
-// finWaiter is one coalesced Committed/Aborted call; its future resolves to
-// a finOutcome.
-type finWaiter struct {
+// Finish is one queued finish notification (setCommitted/setAborted,
+// §4.2). Under the coalesced protocol its future resolves to a finOutcome
+// once the sender's group carrying it is acknowledged; on the split
+// protocol fut is nil and Wait sends the notification itself.
+type Finish struct {
+	c    *Client
 	note FinNote
 	fut  env.Future
+	err  error // the note could not be queued
 	span trace.SpanID
 	enq  time.Duration
 }
@@ -242,7 +249,7 @@ type startOutcome struct {
 	t   rpcTiming
 }
 
-// finOutcome is what a finWaiter's future resolves to.
+// finOutcome is what a Finish's future resolves to.
 type finOutcome struct {
 	err error
 	t   rpcTiming
@@ -286,41 +293,50 @@ func attributeWait(sc *trace.Scope, total time.Duration, t rpcTiming) {
 	sc.Agg.Add(trace.CompRemote, total-q-net)
 }
 
-// Committed reports a successful commit (setCommitted, §4.2). Under the
-// coalesced protocol the notification piggybacks on the next grouped
-// request; the call still blocks until the manager acknowledges it.
+// Committed reports a successful commit (setCommitted, §4.2) and blocks
+// until the manager acknowledges it: a Start anywhere after it returns sees
+// the commit.
 func (c *Client) Committed(ctx env.Ctx, tid uint64) error {
-	if !c.Coalesce {
-		return c.finished(ctx, tid, true)
-	}
-	return c.finGrouped(ctx, tid, true)
+	return c.QueueFinish(ctx, tid, true).Wait(ctx)
 }
 
-// Aborted reports an abort after rollback (setAborted, §4.2). See Committed
-// for coalesced-delivery semantics.
+// Aborted reports an abort after rollback (setAborted, §4.2) and blocks
+// until the manager acknowledges it.
 func (c *Client) Aborted(ctx env.Ctx, tid uint64) error {
-	if !c.Coalesce {
-		return c.finished(ctx, tid, false)
-	}
-	return c.finGrouped(ctx, tid, false)
+	return c.QueueFinish(ctx, tid, false).Wait(ctx)
 }
 
-func (c *Client) finGrouped(ctx env.Ctx, tid uint64, committed bool) error {
-	w := &finWaiter{
-		note: FinNote{TID: tid, Committed: committed},
-		fut:  c.envr.NewFuture(),
-		span: ctx.Trace().Span,
-		enq:  ctx.Now(),
+// QueueFinish hands tid's finish notification to the client without
+// waiting for it. Under the coalesced protocol the note joins the sender
+// queue at once, so a Start queued after it by any activity rides the same
+// group or a later one, and the manager applies a group's finishes before
+// it hands out snapshots. On the split protocol nothing is sent until Wait.
+func (c *Client) QueueFinish(ctx env.Ctx, tid uint64, committed bool) *Finish {
+	f := &Finish{c: c, note: FinNote{TID: tid, Committed: committed}}
+	if !c.Coalesce {
+		return f
 	}
-	if err := c.enqueue(w); err != nil {
-		return err
+	f.fut, f.span, f.enq = c.envr.NewFuture(), ctx.Trace().Span, ctx.Now()
+	f.err = c.enqueue(f)
+	return f
+}
+
+// Wait blocks until the manager has acknowledged the notification and
+// returns the outcome. Any activity may wait, not only the one that queued
+// it; the wait is charged to ctx's transaction.
+func (f *Finish) Wait(ctx env.Ctx) error {
+	if f.err != nil {
+		return f.err
+	}
+	if f.fut == nil {
+		return f.c.finished(ctx, f.note.TID, f.note.Committed)
 	}
 	sc := ctx.Trace()
 	var waitStart time.Duration
 	if sc.Agg != nil {
 		waitStart = ctx.Now()
 	}
-	out := w.fut.Get(ctx).(finOutcome)
+	out := f.fut.Get(ctx).(finOutcome)
 	if sc.Agg != nil {
 		attributeWait(sc, ctx.Now()-waitStart, out.t)
 	}
@@ -366,12 +382,12 @@ func (c *Client) senderLoop(ctx env.Ctx) {
 // collectGroup greedily drains the queue into one group, starting from
 // first. A group holding only finish notifications lingers up to finFlush
 // for a Start to share the round trip with.
-func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fins []*finWaiter) {
+func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fins []*Finish) {
 	add := func(v any) {
 		switch w := v.(type) {
 		case *startWaiter:
 			starts = append(starts, w)
-		case *finWaiter:
+		case *Finish:
 			fins = append(fins, w)
 		}
 	}
@@ -405,7 +421,7 @@ func (c *Client) collectGroup(ctx env.Ctx, first any) (starts []*startWaiter, fi
 }
 
 // sendGroup issues one grouped request and resolves every waiter.
-func (c *Client) sendGroup(ctx env.Ctx, starts []*startWaiter, fins []*finWaiter) {
+func (c *Client) sendGroup(ctx env.Ctx, starts []*startWaiter, fins []*Finish) {
 	notes := make([]FinNote, len(fins))
 	for i, f := range fins {
 		notes[i] = f.note

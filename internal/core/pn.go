@@ -182,23 +182,26 @@ func (pn *PN) Stats() (commits, aborts uint64) {
 	return pn.commits, pn.aborts
 }
 
-// StartWorkers launches the synchronous worker pool. Jobs submitted with
-// Execute run on these workers; at most Workers transactions are in flight
-// at once on this PN.
+// StartWorkers launches the synchronous worker pool. Transactions submitted
+// with Execute run on these workers; at most Workers transactions are in
+// flight at once on this PN.
 func (pn *PN) StartWorkers() {
 	for i := 0; i < pn.cfg.Workers; i++ {
 		pn.node.Go("worker", pn.workerLoop)
 	}
 }
 
-// job is one queued unit of work with a completion future. The submitter's
+// job is one queued transaction with a completion future. The submitter's
 // tracing scope rides along so the worker attributes its time (and spans)
-// to the submitting transaction.
+// to the submitting transaction. The worker leaves its outcome in err and
+// fin before it sets done.
 type job struct {
-	fn   func(ctx env.Ctx)
+	fn   func(ctx env.Ctx, txn *Txn) error
 	done env.Future
 	sc   trace.Scope
 	enq  time.Duration // submission time, for queue-wait attribution
+	fin  *commitmgr.Finish
+	err  error
 }
 
 func (pn *PN) workerLoop(ctx env.Ctx) {
@@ -213,18 +216,41 @@ func (pn *PN) workerLoop(ctx env.Ctx) {
 			saved := *sc
 			*sc = j.sc
 			j.sc.Agg.Add(trace.CompPoolWait, ctx.Now()-j.enq)
-			j.fn(ctx)
+			pn.runJob(ctx, j)
 			*sc = saved
 		} else {
-			j.fn(ctx)
+			pn.runJob(ctx, j)
 		}
 		j.done.Set(nil)
 	}
 }
 
-// Execute runs fn on one of the PN's workers and blocks until it finishes.
-// This is how terminals drive the PN (§6.1's synchronous processing model).
-func (pn *PN) Execute(ctx env.Ctx, fn func(ctx env.Ctx)) {
+// runJob runs one transaction up to its commit flag on the worker.
+func (pn *PN) runJob(ctx env.Ctx, j *job) {
+	txn, err := pn.Begin(ctx)
+	if err != nil {
+		j.err = err
+		return
+	}
+	if err := j.fn(ctx, txn); err != nil {
+		if txn.State() == StateRunning {
+			txn.Abort(ctx)
+		}
+		j.err = err
+		return
+	}
+	j.fin, j.err = txn.commit(ctx)
+}
+
+// Execute runs fn as one transaction on one of the PN's workers (§6.1's
+// synchronous processing model): Begin, fn, and Commit. If fn fails, the
+// transaction is aborted unless fn already ended it, and fn's error is
+// returned; otherwise Commit's. The worker holds the transaction up to its
+// commit flag and the queueing of the commit manager's finish note, then
+// takes its next job; the caller waits for the manager's acknowledgement,
+// so a transaction the caller begins after Execute returns sees this one.
+// An abort notifies the manager on the worker.
+func (pn *PN) Execute(ctx env.Ctx, fn func(ctx env.Ctx, txn *Txn) error) error {
 	j := &job{fn: fn, done: pn.envr.NewFuture()}
 	if sc := ctx.Trace(); sc.R != nil {
 		j.sc = *sc
@@ -233,6 +259,10 @@ func (pn *PN) Execute(ctx env.Ctx, fn func(ctx env.Ctx)) {
 	}
 	pn.jobs.Put(j)
 	j.done.Get(ctx)
+	if j.err != nil {
+		return j.err
+	}
+	return j.fin.Wait(ctx)
 }
 
 // Stop closes the job queue; workers drain and exit.

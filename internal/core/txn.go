@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tell/internal/btree"
+	"tell/internal/commitmgr"
 	"tell/internal/det"
 	"tell/internal/env"
 	"tell/internal/mvcc"
@@ -370,9 +371,23 @@ func (t *Txn) Abort(ctx env.Ctx) error {
 // The index entries are worked out before step 1, and the leaf each tree's
 // share starts in is read while steps 1 and 2 run; the entries are still
 // written, and their CPU charged, only after step 2 (see indexBatches).
+// Commit returns once the commit manager has acknowledged the commit, so
+// any transaction started after it returns sees this one as committed.
 func (t *Txn) Commit(ctx env.Ctx) error {
+	fin, err := t.commit(ctx)
+	if err != nil {
+		return err
+	}
+	return fin.Wait(ctx)
+}
+
+// commit runs Commit up to and including the commit flag and queues the
+// commit manager's finish note; the caller waits for the acknowledgement
+// (PN.Execute hands that wait from the worker to the submitter). An abort
+// notifies the manager before commit returns.
+func (t *Txn) commit(ctx env.Ctx) (*commitmgr.Finish, error) {
 	if t.state != StateRunning {
-		return ErrTxnDone
+		return nil, ErrTxnDone
 	}
 	sc := ctx.Trace()
 	if sc.R.Enabled() {
@@ -389,7 +404,7 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 	if t.doomed {
 		// A conflict was detected while running; nothing was applied.
 		t.finishAbort(ctx, AbortWriteConflict)
-		return ErrConflict
+		return nil, ErrConflict
 	}
 	if len(t.writes) == 0 {
 		t.state = StateCommitted
@@ -399,7 +414,7 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 		if t.rec != nil {
 			t.rec.RecCommit(t.tid, nil)
 		}
-		return t.pn.cm.Committed(ctx, t.tid)
+		return t.pn.cm.QueueFinish(ctx, t.tid, true), nil
 	}
 
 	batches := t.indexBatches()
@@ -412,7 +427,7 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 	if err != nil {
 		// Aborted: the leaf reads fill only batches nobody uses now, so
 		// the worker does not wait for them.
-		return err
+		return nil, err
 	}
 	leavesRead()
 
@@ -423,12 +438,12 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 	if err := t.parallelIndexOps(ctx, batches); err != nil {
 		if err == ErrDuplicateKey {
 			t.abortConflict(ctx, sc, applied, AbortDuplicateKey)
-			return ErrDuplicateKey
+			return nil, ErrDuplicateKey
 		}
 		// Index infrastructure failure: record data is applied, so the
 		// safest course is still abort-with-rollback.
 		t.abortConflict(ctx, sc, applied, AbortError)
-		return err
+		return nil, err
 	}
 
 	// Shared-buffer write-through (§5.5.2).
@@ -442,18 +457,17 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 		}
 	}
 
-	// 4. Commit flag, then the commit manager. Committed() blocks until
-	// the manager has acknowledged the finish — under the coalesced CM
+	// 4. Commit flag, then the commit manager. Under the coalesced CM
 	// protocol the note rides in a grouped message shared with other
-	// workers' starts and finishes, but the visibility guarantee is
-	// unchanged: any transaction started after Commit() returns sees this
-	// one as committed.
+	// workers' starts and finishes; whoever waits for its acknowledgement
+	// (Commit, or PN.Execute's caller) then starts transactions that see
+	// this one as committed.
 	if err := t.pn.log.MarkCommitted(ctx, entry, entryStamp); err != nil {
 		// The flag could not be set (store unavailable). The updates are
 		// applied; recovery would roll this transaction back, so report
 		// failure and abort bookkeeping-wise.
 		t.abortConflict(ctx, sc, applied, AbortError)
-		return err
+		return nil, err
 	}
 	t.state = StateCommitted
 	t.pn.mu.Lock()
@@ -472,7 +486,7 @@ func (t *Txn) Commit(ctx env.Ctx) error {
 		}
 		t.rec.RecCommit(t.tid, wrs)
 	}
-	return t.pn.cm.Committed(ctx, t.tid)
+	return t.pn.cm.QueueFinish(ctx, t.tid, true), nil
 }
 
 // appendAndApply runs Commit's steps 1 and 2: it appends entry to the log
@@ -496,12 +510,14 @@ func (t *Txn) appendAndApply(ctx env.Ctx, sc *trace.Scope, entry *txlog.Entry) (
 		}
 	}
 
-	// 2. Apply updates with one batched request set.
+	// 2. Apply updates with one batched request set. Their CPU is one
+	// burst, as the index phase's: one Work call per write would queue
+	// for a core again after every 3 µs slice.
+	ctx.Work(time.Duration(len(t.order)) * t.pn.cfg.Costs.CommitOp)
 	ops := make([]wire.Op, 0, len(t.order))
 	newRecs = make([]*mvcc.Record, len(t.order))
 	for i, ks := range t.order {
 		w := t.writes[ks]
-		ctx.Work(t.pn.cfg.Costs.CommitOp)
 		var rec *mvcc.Record
 		if w.isInsert {
 			data, _ := relational.EncodeRow(w.table.Schema, w.newRow)

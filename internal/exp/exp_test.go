@@ -49,8 +49,12 @@ func TestRunTellScalesWithPNs(t *testing.T) {
 	t.Logf("1 PN: %.0f TpmC, 4 PNs: %.0f TpmC", one.Result.TpmC(), four.Result.TpmC())
 }
 
+// RF3 costs about 4 % of tpmC here, less than 250 measured transactions
+// resolve from one seed; 2,000 resolve it (about 7 s wall for both runs on
+// a 2-core host).
 func TestReplicationCostsThroughput(t *testing.T) {
 	opt := quickOpt()
+	opt.Measure = 2000
 	rf1, err := RunTell(opt, TellParams{PNs: 2, SNs: 3, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -32,35 +32,16 @@ func NewTellEngine(ctx env.Ctx, pn *core.PN) (*TellEngine, error) {
 }
 
 // run executes fn as one transaction on a PN worker, translating conflicts
-// into committed=false.
+// and intentional rollbacks into committed=false.
 func (e *TellEngine) run(ctx env.Ctx, fn func(wctx env.Ctx, txn *core.Txn) error) (bool, error) {
-	var committed bool
-	var outErr error
-	e.pn.Execute(ctx, func(wctx env.Ctx) {
-		txn, err := e.pn.Begin(wctx)
-		if err != nil {
-			outErr = err
-			return
-		}
-		if err := fn(wctx, txn); err != nil {
-			if txn.State() == core.StateRunning {
-				txn.Abort(wctx)
-			}
-			if err == core.ErrConflict || err == core.ErrDuplicateKey || err == errUserAbort {
-				return // aborted, not an infrastructure failure
-			}
-			outErr = err
-			return
-		}
-		switch err := txn.Commit(wctx); err {
-		case nil:
-			committed = true
-		case core.ErrConflict, core.ErrDuplicateKey:
-		default:
-			outErr = err
-		}
-	})
-	return committed, outErr
+	switch err := e.pn.Execute(ctx, fn); err {
+	case nil:
+		return true, nil
+	case core.ErrConflict, core.ErrDuplicateKey, errUserAbort:
+		return false, nil // aborted, not an infrastructure failure
+	default:
+		return false, err
+	}
 }
 
 // errUserAbort marks intentional rollbacks (the 1% invalid-item new-orders).
