@@ -53,3 +53,13 @@ func (t *Tree) Unparented(ctx env.Ctx) ([]uint64, error) {
 	}
 	return lost, nil
 }
+
+// Scan visits entries with lo <= key < hi in ascending order, following the
+// leaf chain. fn returning false stops the scan. hi == nil means unbounded.
+func (t *Tree) Scan(ctx env.Ctx, lo, hi []byte, fn func(key, val []byte) bool) error {
+	from, err := t.ReadLeaf(ctx, lo)
+	if err != nil {
+		return err
+	}
+	return t.ScanFrom(ctx, &from, hi, fn)
+}

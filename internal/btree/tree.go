@@ -880,16 +880,6 @@ func (t *Tree) Update(ctx env.Ctx, key, val []byte) (bool, error) {
 	return false, ErrRetriesExhausted
 }
 
-// Scan visits entries with lo <= key < hi in ascending order, following the
-// leaf chain. fn returning false stops the scan. hi == nil means unbounded.
-func (t *Tree) Scan(ctx env.Ctx, lo, hi []byte, fn func(key, val []byte) bool) error {
-	from, err := t.ReadLeaf(ctx, lo)
-	if err != nil {
-		return err
-	}
-	return t.ScanFrom(ctx, &from, hi, fn)
-}
-
 // ScanFrom is Scan from a leaf already read: it visits the entries from
 // the key from was read for up to hi.
 func (t *Tree) ScanFrom(ctx env.Ctx, from *Leaf, hi []byte, fn func(key, val []byte) bool) error {

@@ -353,7 +353,11 @@ func runBankCellOn(t *testing.T, r *rig, class transport.NetworkClass, sc scenar
 	if histTotal != nAcc*100 {
 		t.Errorf("history total = %d, want %d", histTotal, nAcc*100)
 	}
-	_, committed, _, _ := r.hist.Stats()
+	var committed uint64
+	for _, pn := range r.PNs {
+		c, _ := pn.Stats()
+		committed += c
+	}
 	if committed == 0 {
 		t.Error("nothing committed")
 	}

@@ -27,7 +27,7 @@ var ErrClosed = errors.New("commitmgr: client closed")
 // switch to the next one").
 //
 // By default the client coalesces the commit path: all Start and
-// Committed/Aborted calls funnel through one sender activity that packs
+// QueueFinish/Aborted calls funnel through one sender activity that packs
 // whatever is pending — up to maxGroup starts plus the buffered finish
 // notifications — into a single grouped round trip sharing one descriptor
 // fetch, delta-encoded against the last descriptor acknowledged. While one
@@ -35,11 +35,11 @@ var ErrClosed = errors.New("commitmgr: client closed")
 // protocol self-paces toward large groups and steady-state CM messages per
 // transaction drop well below the 2 (one start, one finished) of the split
 // protocol. Every call still blocks until its operation is acknowledged, so
-// ordering guarantees are unchanged: when Committed returns, a subsequent
-// Start anywhere sees the commit (modulo multi-manager sync lag, as
-// before). QueueFinish splits a finish into queueing the note and waiting
-// for its acknowledgement, so a PN worker can queue it and leave the wait
-// to the transaction's caller. Set Coalesce=false for the original
+// ordering guarantees are unchanged: when a commit's Finish.Wait returns,
+// a subsequent Start anywhere sees the commit (modulo multi-manager sync
+// lag, as before). QueueFinish splits a finish into queueing the note and
+// waiting for its acknowledgement, so a PN worker can queue it and leave
+// the wait to the transaction's caller. Set Coalesce=false for the original
 // one-RPC-per-call protocol.
 type Client struct {
 	envr env.Full
@@ -291,13 +291,6 @@ func attributeWait(sc *trace.Scope, total time.Duration, t rpcTiming) {
 	sc.Agg.Add(trace.CompPoolWait, q)
 	sc.Agg.Add(trace.CompNetwork, net)
 	sc.Agg.Add(trace.CompRemote, total-q-net)
-}
-
-// Committed reports a successful commit (setCommitted, §4.2) and blocks
-// until the manager acknowledges it: a Start anywhere after it returns sees
-// the commit.
-func (c *Client) Committed(ctx env.Ctx, tid uint64) error {
-	return c.QueueFinish(ctx, tid, true).Wait(ctx)
 }
 
 // Aborted reports an abort after rollback (setAborted, §4.2) and blocks

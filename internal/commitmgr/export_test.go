@@ -7,3 +7,10 @@ import "tell/internal/env"
 func (s *Server) Restore(ctx env.Ctx) {
 	s.pullPeers(ctx)
 }
+
+// Committed reports a successful commit (setCommitted, §4.2) and blocks
+// until the manager acknowledges it: a Start anywhere after it returns sees
+// the commit.
+func (c *Client) Committed(ctx env.Ctx, tid uint64) error {
+	return c.QueueFinish(ctx, tid, true).Wait(ctx)
+}

@@ -4,7 +4,14 @@ import (
 	"tell/internal/env"
 	"tell/internal/mvcc"
 	"tell/internal/relational"
+	"tell/internal/store"
 )
+
+// ID returns the node's name.
+func (pn *PN) ID() string { return pn.cfg.ID }
+
+// Store returns the underlying store client.
+func (pn *PN) Store() *store.Client { return pn.sc }
 
 // FirstPK returns the lowest-keyed row visible in [loVals, hiVals): a read
 // round of one FirstRead.

@@ -163,17 +163,11 @@ func New(cfg Config, envr env.Full, node env.Node, tr transport.Transport, sc *s
 	return pn
 }
 
-// ID returns the node's name.
-func (pn *PN) ID() string { return pn.cfg.ID }
-
 // Catalog returns the PN's table catalog.
 func (pn *PN) Catalog() *Catalog { return pn.cat }
 
 // Costs returns the PN's CPU cost model (workload code charges Logic).
 func (pn *PN) Costs() Costs { return pn.cfg.Costs }
-
-// Store returns the underlying store client (examples use it for scans).
-func (pn *PN) Store() *store.Client { return pn.sc }
 
 // Stats returns (commits, aborts).
 func (pn *PN) Stats() (commits, aborts uint64) {

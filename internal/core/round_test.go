@@ -32,8 +32,11 @@ func deleteIDs(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInfo, id
 func pkEntries(t *testing.T, ctx env.Ctx, table *core.TableInfo, lo, hi int64) int {
 	t.Helper()
 	n := 0
-	if err := table.PK.Scan(ctx, relational.EncodeKey(pk(lo)...), relational.EncodeKey(pk(hi)...),
-		func(k, v []byte) bool { n++; return true }); err != nil {
+	from, err := table.PK.ReadLeaf(ctx, relational.EncodeKey(pk(lo)...))
+	if err == nil {
+		err = table.PK.ScanFrom(ctx, &from, relational.EncodeKey(pk(hi)...), func(k, v []byte) bool { n++; return true })
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return n

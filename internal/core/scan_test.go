@@ -133,12 +133,7 @@ func TestFirstPKGrowsPagePastStaleEntries(t *testing.T) {
 				if id, gets := e.firstPK(t, ctx, txn, table, pk(1), pk(51)); id != tc.stale+1 || gets != tc.gets {
 					t.Fatalf("id %d after %d record gets, want %d after %d", id, gets, tc.stale+1, tc.gets)
 				}
-				left := 0
-				if err := table.PK.Scan(ctx, relational.EncodeKey(pk(1)...), relational.EncodeKey(pk(tc.stale+1)...),
-					func(k, v []byte) bool { left++; return true }); err != nil {
-					t.Fatal(err)
-				}
-				if left != 0 {
+				if left := pkEntries(t, ctx, table, 1, tc.stale+1); left != 0 {
 					t.Fatalf("%d of %d stale entries survived the scan", left, tc.stale)
 				}
 				mustCommit(t, ctx, txn)

@@ -40,8 +40,8 @@ func TestSpecDefaultsAndRejection(t *testing.T) {
 	if len(s.CMs) != 1 || s.CMAddrs[0] != "cm0" || len(s.PNs) != 0 || s.Recoverer != nil {
 		t.Fatalf("cms=%v pns=%d recoverer=%v", s.CMAddrs, len(s.PNs), s.Recoverer)
 	}
-	if pn := s.AddPN("extra"); pn.ID() != "extra" || s.PNNodes[0].Cores() != deploy.PNCores {
-		t.Fatalf("AddPN: id %q, %d cores", pn.ID(), s.PNNodes[0].Cores())
+	if s.AddPN("extra"); len(s.PNs) != 1 || s.PNNodes[0].Name() != "extra" {
+		t.Fatalf("AddPN: %d PNs, node %q", len(s.PNs), s.PNNodes[0].Name())
 	}
 
 	for name, spec := range map[string]deploy.Spec{
@@ -89,8 +89,8 @@ func runDigest(t *testing.T, seed int64) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "nodes=%v %v", s.Storage.Addrs(), s.CMAddrs)
-	for i, pn := range s.PNs {
-		fmt.Fprintf(&b, " %s@%s", pn.ID(), s.PNNodes[i].Name())
+	for _, n := range s.PNNodes {
+		fmt.Fprintf(&b, " %s", n.Name())
 	}
 	fmt.Fprintf(&b, " procs=%d", s.K.Procs())
 
@@ -174,7 +174,7 @@ func runDigest(t *testing.T, seed int64) string {
 	fmt.Fprintf(&b, " end=%v net=%d/%d/%d", end, st.Requests, st.BytesSent, st.BytesRecv)
 	for i, pn := range s.PNs {
 		c, a := pn.Stats()
-		fmt.Fprintf(&b, " %s=%d/%d ops=%d cm=%d", pn.ID(), c, a, s.StoreClients[i].Ops(), s.CMClients[i].Msgs())
+		fmt.Fprintf(&b, " %s=%d/%d ops=%d cm=%d", s.PNNodes[i].Name(), c, a, s.StoreClients[i].Ops(), s.CMClients[i].Msgs())
 	}
 	return b.String()
 }
@@ -187,7 +187,7 @@ func TestSameSeedBuildsAreIdentical(t *testing.T) {
 	if a != b {
 		t.Fatalf("digests diverged for seed %d:\n  %s\n  %s", seed, a, b)
 	}
-	if !strings.HasPrefix(a, "nodes=[sn0 sn1 sn2] [cm0 cm1] pn0@pn0 pn1@pn1 procs=") {
+	if !strings.HasPrefix(a, "nodes=[sn0 sn1 sn2] [cm0 cm1] pn0 pn1 procs=") {
 		t.Fatalf("unexpected node order: %s", a)
 	}
 }

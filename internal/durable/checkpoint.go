@@ -31,10 +31,8 @@ type Manifest struct {
 	// Stamp is the highest cell stamp in the image; recovery seeds the
 	// node's stamp counter past it.
 	Stamp uint64
-	// Fence is the commit-manager snapshot boundary (last assigned commit
-	// timestamp) observed when the snapshot began, 0 if the node has no
-	// fence source. Every transaction at or below it that touched this
-	// node is in image+suffix.
+	// Fence is a commit-manager snapshot boundary slot that the format
+	// keeps; no writer samples one, so the store writes 0.
 	Fence uint64
 	// Chunks and Cells size the image.
 	Chunks uint64

@@ -32,11 +32,6 @@ type Node interface {
 	Name() string
 	// Go starts a new activity on this node.
 	Go(name string, fn func(ctx Ctx))
-	// Cores returns the node's modelled core count.
-	Cores() int
-	// Utilization returns the fraction of CPU capacity used so far
-	// (always 0 under the real environment).
-	Utilization() float64
 }
 
 // Ctx is the execution context of one running activity. A Ctx is only valid

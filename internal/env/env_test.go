@@ -84,8 +84,8 @@ func TestSimQueueAcrossNodes(t *testing.T) {
 func TestRealEnvBasics(t *testing.T) {
 	e := env.NewReal(7)
 	n := e.NewNode("n1", 2)
-	if n.Name() != "n1" || n.Cores() != 2 {
-		t.Fatalf("node metadata wrong: %q %d", n.Name(), n.Cores())
+	if n.Name() != "n1" {
+		t.Fatalf("node name wrong: %q", n.Name())
 	}
 	var wg sync.WaitGroup
 	var count atomic.Int32

@@ -28,22 +28,19 @@ func (e *realEnv) Tracer() *trace.Recorder     { return e.tr }
 
 func (e *realEnv) Now() time.Duration { return time.Since(e.start) }
 
-func (e *realEnv) NewNode(name string, cores int) Node {
-	return &realNode{env: e, name: name, cores: cores}
+func (e *realEnv) NewNode(name string, _ int) Node {
+	return &realNode{env: e, name: name}
 }
 
 func (e *realEnv) NewQueue() Queue   { return newRealQueue() }
 func (e *realEnv) NewFuture() Future { return newRealFuture() }
 
 type realNode struct {
-	env   *realEnv
-	name  string
-	cores int
+	env  *realEnv
+	name string
 }
 
-func (n *realNode) Name() string         { return n.name }
-func (n *realNode) Cores() int           { return n.cores }
-func (n *realNode) Utilization() float64 { return 0 }
+func (n *realNode) Name() string { return n.name }
 
 func (n *realNode) Go(name string, fn func(ctx Ctx)) {
 	go fn(&realCtx{node: n, sc: trace.Scope{R: n.env.tr}})

@@ -27,7 +27,7 @@ func (e *simEnv) Tracer() *trace.Recorder     { return e.tr }
 func (e *simEnv) Now() time.Duration { return e.k.Now().Duration() }
 
 func (e *simEnv) NewNode(name string, cores int) Node {
-	n := &simNode{env: e, name: name, cores: cores, cpu: sim.NewResource(e.k, cores)}
+	n := &simNode{env: e, name: name, cpu: sim.NewResource(e.k, cores)}
 	// Per-core busy intervals feed the trace's core tracks and the node
 	// utilization series. CoreRun is a no-op on a nil recorder.
 	n.cpu.OnUse = func(unit int, start, end sim.Time) {
@@ -40,15 +40,12 @@ func (e *simEnv) NewQueue() Queue   { return &simQueue{q: sim.NewQueue(e.k)} }
 func (e *simEnv) NewFuture() Future { return new(simFuture) }
 
 type simNode struct {
-	env   *simEnv
-	name  string
-	cores int
-	cpu   *sim.Resource
+	env  *simEnv
+	name string
+	cpu  *sim.Resource
 }
 
-func (n *simNode) Name() string         { return n.name }
-func (n *simNode) Cores() int           { return n.cores }
-func (n *simNode) Utilization() float64 { return n.cpu.Utilization() }
+func (n *simNode) Name() string { return n.name }
 
 func (n *simNode) Go(name string, fn func(ctx Ctx)) {
 	n.goScoped(name, trace.Scope{R: n.env.tr}, fn)

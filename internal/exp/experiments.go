@@ -472,7 +472,7 @@ func AblationResilience(opt Options) (*Table, error) {
 			goodput = tps / baseline
 		}
 		t.AddRow(s.label, f0(tps), pct(goodput),
-			run.Result.Latency.Total().Percentile(0.99).String(),
+			run.Result.Latency.Total().Percentile(99).String(),
 			f2(run.RetriesPerTxn), fmt.Sprint(run.Replays),
 			fmt.Sprint(run.Sheds), fmt.Sprintf("%016x", run.RetryHash))
 	}

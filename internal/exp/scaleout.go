@@ -217,9 +217,7 @@ func runScaleoutSkew(opt Options, balanced bool) (skewReport, error) {
 
 	h := fnv.New64a()
 	for _, line := range cluster.Manager.ScheduleLog() {
-		//lint:allow errdiscard hash.Hash Write is documented to never return an error
 		h.Write([]byte(line))
-		//lint:allow errdiscard hash.Hash Write is documented to never return an error
 		h.Write([]byte{'\n'})
 		switch {
 		case strings.Contains(line, "migrate"):

@@ -160,20 +160,6 @@ func (h *History) RecAbort(tid uint64) {
 	h.mu.Unlock()
 }
 
-// Stats returns (transactions begun, committed, aborted, reads recorded).
-func (h *History) Stats() (begun, committed, aborted, reads int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, s := range h.status {
-		if s == 'c' {
-			committed++
-		} else {
-			aborted++
-		}
-	}
-	return len(h.snaps), committed, aborted, len(h.reads)
-}
-
 // Report is the checker's verdict.
 type Report struct {
 	Anomalies []Anomaly

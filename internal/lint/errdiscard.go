@@ -13,8 +13,9 @@ import (
 // fires when every error result of a call to one of the critical names is
 // discarded — as a bare statement, a deferred call, or a blank assignment.
 // Contract-infallible writers (bytes, strings, hash implementations) are
-// allowlisted; anything else needs explicit handling or a justified
-// //lint:allow errdiscard annotation.
+// allowlisted, a hash's Write included when it is called through hash.Hash,
+// whose Write io.Writer declares; anything else needs explicit handling or
+// a justified //lint:allow errdiscard annotation.
 var ErrDiscard = &Analyzer{
 	Name: "errdiscard",
 	Doc:  "flag discarded errors on durability/wire-critical calls (Sync, Close, Flush, ...)",
@@ -40,10 +41,10 @@ var criticalNames = map[string]bool{
 	"WriteCheckpoint": true,
 }
 
-// errDiscardAllowPkgs are packages whose Write/Sync-family methods cannot
-// fail by contract (their error results exist only to satisfy io
-// interfaces).
-var errDiscardAllowPkgs = []string{"bytes", "strings", "hash/", "crypto/"}
+// errDiscardAllowPkgs are packages (and their subpackages) whose
+// Write/Sync-family methods cannot fail by contract (their error results
+// exist only to satisfy io interfaces).
+var errDiscardAllowPkgs = []string{"bytes", "strings", "hash", "crypto"}
 
 func runErrDiscard(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -71,11 +72,16 @@ func criticalErrCall(pass *Pass, call *ast.CallExpr) (fn *types.Func, errIdx []i
 	if fn == nil || !criticalNames[fn.Name()] {
 		return nil, nil, false
 	}
-	if pkg := fn.Pkg(); pkg != nil {
-		for _, allowed := range errDiscardAllowPkgs {
-			if pkg.Path() == allowed || strings.HasPrefix(pkg.Path(), allowed) {
-				return nil, nil, false
-			}
+	if errDiscardAllowed(fn.Pkg()) {
+		return nil, nil, false
+	}
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && fn.Name() == "Write" {
+		recv := pass.TypeOf(sel.X)
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		if n, ok := recv.(*types.Named); ok && errDiscardAllowed(n.Obj().Pkg()) {
+			return nil, nil, false
 		}
 	}
 	sig, _ := fn.Type().(*types.Signature)
@@ -92,6 +98,17 @@ func criticalErrCall(pass *Pass, call *ast.CallExpr) (fn *types.Func, errIdx []i
 		return nil, nil, false
 	}
 	return fn, errIdx, true
+}
+
+// errDiscardAllowed reports whether pkg is, or is under, one of
+// errDiscardAllowPkgs.
+func errDiscardAllowed(pkg *types.Package) bool {
+	for _, allowed := range errDiscardAllowPkgs {
+		if pkg != nil && (pkg.Path() == allowed || strings.HasPrefix(pkg.Path(), allowed+"/")) {
+			return true
+		}
+	}
+	return false
 }
 
 func isErrorType(t types.Type) bool {

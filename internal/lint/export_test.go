@@ -1,15 +1,12 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"go/importer"
 	"go/token"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 )
 
@@ -18,27 +15,12 @@ import (
 // Imports resolve against the dependency closure of the packages listed in
 // deps, which must be importable from modDir.
 func LoadDir(fixtureDir, modDir string, deps ...string) (*Package, error) {
-	args := append([]string{
-		"list", "-deps", "-export",
-		"-json=Dir,ImportPath,Name,Export,Standard,GoFiles",
-	}, deps...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = modDir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := goList(modDir, append([]string{"-deps", "-export"}, deps...)...)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %v\n%s", deps, err, stderr.String())
+		return nil, err
 	}
 	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
+	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}

@@ -132,7 +132,7 @@ func TestGuardedFieldFixture(t *testing.T) {
 }
 
 func TestErrDiscardFixture(t *testing.T) {
-	runFixture(t, ErrDiscard, "errdiscard", "bytes")
+	runFixture(t, ErrDiscard, "errdiscard", "bytes", "hash/fnv", "io")
 }
 
 func TestCtxDeadlineFixture(t *testing.T) {
@@ -191,5 +191,23 @@ func TestEnginePackageScope(t *testing.T) {
 	}
 	if ByName("maporder") == nil || ByName("nope") != nil {
 		t.Error("ByName lookup broken")
+	}
+}
+
+// TestGatesFixture: the module under testdata/gates holds three cases that
+// a gate matching names misses — a test-only method whose name a used
+// method of another type shares, an interface method that only tests call
+// (with its implementation), and a covered field whose only write outside
+// its constructor is really a write of another type's same-named field.
+func TestGatesFixture(t *testing.T) {
+	pkgs, err := load(filepath.Join("testdata", "gates"), true, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(testOnlyExports(pkgs), " "), "a.Bag.Size a.Queue.Len a.Sizer.Len"; got != want {
+		t.Errorf("test-only gate flags %q, want %q", got, want)
+	}
+	if got, want := strings.Join(oneValueSettings(pkgs), " "), "a.Config.Mode"; got != want {
+		t.Errorf("one-value gate flags %q, want %q", got, want)
 	}
 }

@@ -1,6 +1,10 @@
 package errdiscard
 
-import "bytes"
+import (
+	"bytes"
+	"hash/fnv"
+	"io"
+)
 
 // wal stands in for any durability handle: its Sync/Close/Append errors
 // guard acknowledged writes.
@@ -41,6 +45,19 @@ func handled(w *wal) error {
 // their error results exist only to satisfy io interfaces.
 func buffered(buf *bytes.Buffer) {
 	buf.Write([]byte("x"))
+}
+
+// A hash's Write is declared by io.Writer, which hash.Hash embeds; the
+// receiver's static type exempts it.
+func hashed() uint64 {
+	h := fnv.New64a()
+	h.Write([]byte("x"))
+	return h.Sum64()
+}
+
+// The same call through a plain io.Writer can fail.
+func written(w io.Writer) {
+	w.Write([]byte("x")) // want "result discarded"
 }
 
 // Non-critical names are out of scope even when an error is dropped.

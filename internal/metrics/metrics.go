@@ -203,9 +203,6 @@ func (s *Summary) Record(name string, d time.Duration) {
 	h.Record(d)
 }
 
-// Get returns the histogram for name, or nil.
-func (s *Summary) Get(name string) *Histogram { return s.hists[name] }
-
 // Names returns the recorded names in sorted order.
 func (s *Summary) Names() []string {
 	names := make([]string, 0, len(s.hists))

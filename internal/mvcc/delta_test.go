@@ -164,10 +164,10 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 	d.EncodeTo(w)
 	fw := wire.NewWriter(64)
 	new.EncodeTo(fw)
-	if w.Len() >= fw.Len() {
-		t.Fatalf("delta (%dB) not smaller than full descriptor (%dB)", w.Len(), fw.Len())
+	if len(w.Bytes()) >= len(fw.Bytes()) {
+		t.Fatalf("delta (%dB) not smaller than full descriptor (%dB)", len(w.Bytes()), len(fw.Bytes()))
 	}
-	if d.EncodedSize() < w.Len() {
-		t.Fatalf("EncodedSize %d underestimates actual %d", d.EncodedSize(), w.Len())
+	if d.EncodedSize() < len(w.Bytes()) {
+		t.Fatalf("EncodedSize %d underestimates actual %d", d.EncodedSize(), len(w.Bytes()))
 	}
 }

@@ -220,11 +220,9 @@ func (c *Capture) Hash() uint64 {
 		for i := 0; i < 8; i++ {
 			buf[i] = byte(v >> (8 * i))
 		}
-		//lint:allow errdiscard hash.Hash Write never returns an error
 		h.Write(buf[:])
 	}
 	ws := func(s string) {
-		//lint:allow errdiscard hash.Hash Write never returns an error
 		io.WriteString(h, s)
 	}
 	w64(c.Seq)

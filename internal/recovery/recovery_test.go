@@ -35,11 +35,11 @@ func newRig(t *testing.T, nPNs int) *rig {
 	r := &rig{Sim: s}
 	r.mgr = recovery.NewManager(s.Env, mgmtNode, s.Net, s.Storage.NewClient(mgmtNode),
 		commitmgr.NewClient(s.Env, mgmtNode, s.Net, s.CMAddrs))
-	for _, pn := range s.PNs {
+	for i, pn := range s.PNs {
 		if err := pn.Serve(s.Net); err != nil {
 			t.Fatal(err)
 		}
-		r.mgr.Watch(pn.ID())
+		r.mgr.Watch(s.PNNodes[i].Name())
 	}
 	return r
 }
@@ -63,8 +63,9 @@ func schema() *relational.TableSchema {
 // it writes the log entry and applies record changes but never sets the
 // commit flag — exactly the state recovery must clean up (§4.4.1). It
 // returns the log entry and the stamp its append returned.
-func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInfo, rid uint64, tidOut *uint64) (*txlog.Entry, uint64) {
+func (r *rig) crashMidCommit(t *testing.T, ctx env.Ctx, i int, table *core.TableInfo, rid uint64, tidOut *uint64) (*txlog.Entry, uint64) {
 	t.Helper()
+	pn, sc := r.PNs[i], r.StoreClients[i]
 	txn, err := pn.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -72,19 +73,19 @@ func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInf
 	*tidOut = txn.TID()
 	// Reproduce the commit prefix by hand: log entry + applied version.
 	key := relational.RecordKey(table.Schema.ID, rid)
-	log := txlog.New(pn.Store())
-	entry := &txlog.Entry{TID: txn.TID(), PN: pn.ID(), WriteSet: [][]byte{key}}
+	log := txlog.New(sc)
+	entry := &txlog.Entry{TID: txn.TID(), PN: r.PNNodes[i].Name(), WriteSet: [][]byte{key}}
 	entryStamp, err := log.Append(ctx, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, stamp, err := pn.Store().Get(ctx, key)
+	raw, stamp, err := sc.Get(ctx, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := decodeRecord(t, raw)
 	rec = rec.WithVersion(txn.TID(), false, encodeRow(t, table, relational.Row{relational.I64(1), relational.I64(666)}))
-	if _, err := pn.Store().CondPut(ctx, key, rec.Encode(), stamp); err != nil {
+	if _, err := sc.CondPut(ctx, key, rec.Encode(), stamp); err != nil {
 		t.Fatal(err)
 	}
 	// ... and then the PN "crashes": no index update, no commit flag, no
@@ -95,7 +96,7 @@ func crashMidCommit(t *testing.T, ctx env.Ctx, pn *core.PN, table *core.TableInf
 func TestRecoveryRollsBackUncommitted(t *testing.T) {
 	r := newRig(t, 2)
 	r.run(t, func(ctx env.Ctx) {
-		pn0, pn1 := r.PNs[0], r.PNs[1]
+		pn0 := r.PNs[0]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(42)})
@@ -103,10 +104,10 @@ func TestRecoveryRollsBackUncommitted(t *testing.T) {
 			t.Fatal(err)
 		}
 		var deadTid uint64
-		deadEntry, deadStamp := crashMidCommit(t, ctx, pn1, table, rid, &deadTid)
+		deadEntry, deadStamp := r.crashMidCommit(t, ctx, 1, table, rid, &deadTid)
 
 		// The partially applied version is present in the raw record.
-		raw, _, _ := pn0.Store().Get(ctx, relational.RecordKey(table.Schema.ID, rid))
+		raw, _, _ := r.StoreClients[0].Get(ctx, relational.RecordKey(table.Schema.ID, rid))
 		if n := len(decodeRecord(t, raw).Versions); n != 2 {
 			t.Fatalf("expected 2 versions pre-recovery, got %d", n)
 		}
@@ -119,7 +120,7 @@ func TestRecoveryRollsBackUncommitted(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("rolled back %d transactions, want 1", n)
 		}
-		raw, _, _ = pn0.Store().Get(ctx, relational.RecordKey(table.Schema.ID, rid))
+		raw, _, _ = r.StoreClients[0].Get(ctx, relational.RecordKey(table.Schema.ID, rid))
 		rec := decodeRecord(t, raw)
 		if len(rec.Versions) != 1 {
 			t.Fatalf("version not reverted: %v", rec)
@@ -132,7 +133,7 @@ func TestRecoveryRollsBackUncommitted(t *testing.T) {
 		}
 		check.Commit(ctx)
 		// And the fence prevents a late commit flag.
-		log := txlog.New(pn0.Store())
+		log := txlog.New(r.StoreClients[0])
 		if err := log.MarkCommitted(ctx, deadEntry, deadStamp); err != txlog.ErrFenced {
 			t.Fatalf("expected fence, got %v", err)
 		}
@@ -176,13 +177,13 @@ func TestFailureDetectorTriggersRecovery(t *testing.T) {
 	recovered := ""
 	r.mgr.OnRecovered = func(pn string, n int) { recovered = pn }
 	r.run(t, func(ctx env.Ctx) {
-		pn0, pn1 := r.PNs[0], r.PNs[1]
+		pn0 := r.PNs[0]
 		table, _ := pn0.Catalog().CreateTable(ctx, schema())
 		setup, _ := pn0.Begin(ctx)
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(7)})
 		setup.Commit(ctx)
 		var deadTid uint64
-		crashMidCommit(t, ctx, pn1, table, rid, &deadTid)
+		r.crashMidCommit(t, ctx, 1, table, rid, &deadTid)
 		// Kill pn1's endpoint; the failure detector must notice and
 		// recover within a few ping intervals.
 		r.Net.SetDown("pn1", true)
@@ -224,7 +225,7 @@ func TestCrashDuringPartitionDeclaredDeadOnce(t *testing.T) {
 		rid, _ := setup.Insert(ctx, table, relational.Row{relational.I64(1), relational.I64(7)})
 		setup.Commit(ctx)
 		var deadTid uint64
-		crashMidCommit(t, ctx, r.PNs[1], table, rid, &deadTid)
+		r.crashMidCommit(t, ctx, 1, table, rid, &deadTid)
 
 		// Partition pn1 away from the management node, then crash it while
 		// the partition is still in force: both conditions overlap the same
@@ -262,8 +263,8 @@ func TestRecoveryHandlesMultipleFailures(t *testing.T) {
 		var tid1, tid2 uint64
 		t1, _ := r.PNs[1].Catalog().OpenTable(ctx, "kv")
 		t2, _ := r.PNs[2].Catalog().OpenTable(ctx, "kv")
-		crashMidCommit(t, ctx, r.PNs[1], t1, rid1, &tid1)
-		crashMidCommit(t, ctx, r.PNs[2], t2, rid2, &tid2)
+		r.crashMidCommit(t, ctx, 1, t1, rid1, &tid1)
+		r.crashMidCommit(t, ctx, 2, t2, rid2, &tid2)
 		r.Net.SetDown("pn1", true)
 		r.Net.SetDown("pn2", true)
 		ctx.Sleep(time.Second)

@@ -73,23 +73,24 @@ type Policy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff time.Duration
-	// JitterFrac adds a uniform random [0, JitterFrac) fraction of the
-	// backoff on top, decorrelating retry storms. Drawn from ctx.Rand()
-	// so it is deterministic under simulation.
-	JitterFrac float64
 }
+
+// jitterFrac adds a uniform random [0, jitterFrac) fraction of each backoff
+// on top, decorrelating retry storms. Drawn from ctx.Rand() so it is
+// deterministic under simulation.
+const jitterFrac = 0.5
 
 // DefaultPolicies is the policy table tuned for the simulated cluster: the
 // per-attempt transport timeout is expected to be a few milliseconds, so
 // backoffs start well below it and cap near it.
 func DefaultPolicies() [NClasses]Policy {
 	return [NClasses]Policy{
-		ClassRead:      {Attempts: 5, Deadline: 100 * time.Millisecond, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 5 * time.Millisecond, JitterFrac: 0.5},
-		ClassWrite:     {Attempts: 5, Deadline: 100 * time.Millisecond, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 5 * time.Millisecond, JitterFrac: 0.5},
-		ClassCM:        {Attempts: 4, Deadline: 100 * time.Millisecond, BaseBackoff: 300 * time.Microsecond, MaxBackoff: 5 * time.Millisecond, JitterFrac: 0.5},
-		ClassReplicate: {Attempts: 4, Deadline: 50 * time.Millisecond, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond, JitterFrac: 0.5},
+		ClassRead:      {Attempts: 5, Deadline: 100 * time.Millisecond, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 5 * time.Millisecond},
+		ClassWrite:     {Attempts: 5, Deadline: 100 * time.Millisecond, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 5 * time.Millisecond},
+		ClassCM:        {Attempts: 4, Deadline: 100 * time.Millisecond, BaseBackoff: 300 * time.Microsecond, MaxBackoff: 5 * time.Millisecond},
+		ClassReplicate: {Attempts: 4, Deadline: 50 * time.Millisecond, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond},
 		ClassPing:      {Attempts: 1},
-		ClassMeta:      {Attempts: 4, Deadline: 100 * time.Millisecond, BaseBackoff: 500 * time.Microsecond, MaxBackoff: 10 * time.Millisecond, JitterFrac: 0.5},
+		ClassMeta:      {Attempts: 4, Deadline: 100 * time.Millisecond, BaseBackoff: 500 * time.Microsecond, MaxBackoff: 10 * time.Millisecond},
 	}
 }
 
@@ -98,8 +99,8 @@ func DefaultPolicies() [NClasses]Policy {
 // kernel-TCP-scale timeout of a few milliseconds; on a microsecond-scale
 // simulated fabric a dropped leg should cost roughly one timeout plus one
 // short backoff, not a millisecond-scale pause. Backoffs start at a
-// quarter of the timeout and cap at four timeouts; attempt counts, jitter
-// and deadlines keep their defaults (ClassPing stays single-attempt).
+// quarter of the timeout and cap at four timeouts; attempt counts and
+// deadlines keep their defaults (ClassPing stays single-attempt).
 func FastPolicies(timeout time.Duration) [NClasses]Policy {
 	p := DefaultPolicies()
 	for c := range p {
@@ -283,10 +284,7 @@ func (r *Retrier) backoff(ctx env.Ctx, p *Policy, attempt int) time.Duration {
 	if p.MaxBackoff > 0 && b > p.MaxBackoff {
 		b = p.MaxBackoff
 	}
-	if p.JitterFrac > 0 {
-		b += time.Duration(float64(b) * p.JitterFrac * ctx.Rand().Float64())
-	}
-	return b
+	return b + time.Duration(float64(b)*jitterFrac*ctx.Rand().Float64())
 }
 
 // record folds one scheduled retry into the deterministic schedule hash.

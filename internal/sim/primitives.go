@@ -289,9 +289,7 @@ type Resource struct {
 	total   int
 	inUse   int
 	waiters procQueue
-	busy    time.Duration // accumulated busy time across all units
-	last    Time          // last accounting instant
-	free    []int         // free unit indices (LIFO; unit 0 preferred)
+	free    []int // free unit indices (LIFO; unit 0 preferred)
 
 	// OnUse, when set, observes every completed Use interval: unit was
 	// busy over [start, end). Tracing hooks per-core run tracks here.
@@ -310,17 +308,10 @@ func NewResource(k *Kernel, n int) *Resource {
 	return r
 }
 
-func (r *Resource) account() {
-	now := r.k.Now()
-	r.busy += time.Duration(r.inUse) * now.Sub(r.last)
-	r.last = now
-}
-
 // Acquire blocks p until a unit is available and takes it, returning the
 // unit's index.
 func (r *Resource) Acquire(p *Proc) int {
 	if r.inUse < r.total {
-		r.account()
 		r.inUse++
 		u := r.free[len(r.free)-1]
 		r.free = r.free[:len(r.free)-1]
@@ -338,7 +329,6 @@ func (r *Resource) Release(unit int) {
 		r.k.wakeNow(p)
 		return
 	}
-	r.account()
 	r.inUse--
 	r.free = append(r.free, unit)
 }
@@ -353,15 +343,4 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	if r.OnUse != nil {
 		r.OnUse(u, start, p.Now())
 	}
-}
-
-// Utilization returns the fraction of total capacity that has been busy
-// since the kernel started.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	elapsed := r.k.Now().Duration()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(elapsed) / float64(r.total)
 }

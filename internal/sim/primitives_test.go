@@ -208,15 +208,19 @@ func TestResourceParallelism(t *testing.T) {
 	}
 }
 
+// TestResourceUtilization: the OnUse intervals, which the trace's core
+// tracks and utilization series are built from, account for the busy time.
 func TestResourceUtilization(t *testing.T) {
 	k := testKernel(t, 1)
 	r := NewResource(k, 2)
+	var busy time.Duration
+	r.OnUse = func(_ int, start, end Time) { busy += end.Sub(start) }
 	k.Go("job", func(p *Proc) { r.Use(p, 10*time.Millisecond) })
 	if err := k.RunUntil(Time(20 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	// One of two units busy for half the elapsed time: 25%.
-	if u := r.Utilization(); u < 0.24 || u > 0.26 {
+	if u := float64(busy) / float64(2*k.Now().Duration()); u != 0.25 {
 		t.Fatalf("utilization = %v, want 0.25", u)
 	}
 }

@@ -25,10 +25,6 @@ type DurOptions struct {
 	// CheckpointBytes triggers an automatic fuzzy checkpoint after this
 	// many WAL bytes since the last one (0 = manual checkpoints only).
 	CheckpointBytes int
-	// Fence, when set, is sampled at checkpoint start and recorded in the
-	// manifest — the commit-manager snapshot boundary the image is
-	// consistent with (diagnostic; replay correctness comes from stamps).
-	Fence func(ctx env.Ctx) uint64
 }
 
 // durState is the per-node durability runtime: the WAL plus the group-commit
@@ -197,14 +193,10 @@ func (sn *Node) checkpoint(ctx env.Ctx) error {
 	}()
 
 	floor, lsn := d.wal.Position()
-	var fence uint64
-	if d.opts.Fence != nil {
-		fence = d.opts.Fence(ctx)
-	}
 	d.mu.Lock()
 	seq := d.ckptSeq + 1
 	d.mu.Unlock()
-	man := &durable.Manifest{Seq: seq, Floor: floor, LSN: lsn, Fence: fence}
+	man := &durable.Manifest{Seq: seq, Floor: floor, LSN: lsn}
 	if err := durable.WriteCheckpoint(ctx, d.opts.Backend, sn.addr, man, sn.ckptSource(), d.opts.ChunkBytes); err != nil {
 		// A failed checkpoint leaves the previous generation intact; the
 		// node keeps serving from the (longer) log.

@@ -12,7 +12,6 @@ import (
 // "range partitioning" over the hash space.
 func KeyHash(key []byte) uint64 {
 	h := fnv.New64a()
-	//lint:allow errdiscard hash.Hash Write is documented to never return an error
 	h.Write(key)
 	return h.Sum64()
 }

@@ -27,7 +27,7 @@ type storeSend struct {
 func (r *rig) storeSends(t *testing.T, fn func()) []storeSend {
 	t.Helper()
 	var sends []storeSend
-	pn := r.PNs[0].ID()
+	pn := r.PNNodes[0].Name()
 	r.Net.SetFaultFn(func(src, dst string, payload []byte) transport.Fault {
 		if src != pn || wire.PeekKind(payload) != wire.KindStoreReq {
 			return transport.Fault{}

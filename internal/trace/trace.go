@@ -118,14 +118,6 @@ func NewCounters(now func() time.Duration) *Recorder {
 // Enabled reports whether events are being recorded.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Now reads the recorder's clock (zero when disabled).
-func (r *Recorder) Now() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.now()
-}
-
 // NewID allocates the next span/flow id.
 func (r *Recorder) NewID() SpanID {
 	if r == nil {

@@ -35,9 +35,6 @@ func AppendWriter(dst []byte) *Writer { return &Writer{buf: dst} }
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Truncate shortens the buffer to its first n bytes, keeping its capacity, so
 // one Writer can encode a run of messages behind a fixed-size prefix.
 func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }

@@ -208,7 +208,7 @@ func TestVarintPropertyRoundTrip(t *testing.T) {
 		w.Varint(v)
 		w.BytesN(b)
 		w.String(s)
-		if w.Len() != UvarintLen(u)+varintLen(v)+bytesNLen(len(b))+bytesNLen(len(s)) {
+		if len(w.Bytes()) != UvarintLen(u)+varintLen(v)+bytesNLen(len(b))+bytesNLen(len(s)) {
 			return false
 		}
 		r := NewReader(w.Bytes())
